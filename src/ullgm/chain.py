@@ -16,7 +16,6 @@ stationary law; resist the temptation.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -137,7 +136,7 @@ class ChainOutput:
 
 
 def init_chain(
-    data: Dataset, prior: PriorConfig, config: ChainConfig, rng: np.random.Generator
+    data: Dataset, prior: PriorConfig, config: ChainConfig
 ) -> tuple[ModelIndicator, GaussianLayerState]:
     """Deterministic starting state: null model, z from a data transform."""
     y = data.y
@@ -210,7 +209,7 @@ def run_chain(data: Dataset, prior: PriorConfig, config: ChainConfig) -> ChainOu
     rng = np.random.default_rng(config.seed)
     hyper = isinstance(prior.gprior, HyperGOverN)
 
-    M, state = init_chain(data, prior, config, rng)
+    M, state = init_chain(data, prior, config)
     z, alpha, sigma2, g = state.z.copy(), state.alpha, state.sigma2, state.g
     beta_full = state.beta.copy()
 
@@ -240,11 +239,15 @@ def run_chain(data: Dataset, prior: PriorConfig, config: ChainConfig) -> ChainOu
             adapt_g.frozen = True
 
         cache.set_z(z)
-        M, accepted = model_mh_step(M, None, None, g, params, rng, cache=cache)
+        M, accepted = model_mh_step(
+            M, lambda Mi: cache.log_marginal(Mi, g), cache.has_full_rank, params, rng
+        )
         acc_model += accepted
         s = cache.light_stats(M)
         if hyper:
-            g, g_accepted = mh_update_g(g, s, M.p_k, n, prior.gprior.a, adapt_g, rng)
+            g, g_accepted = mh_update_g(
+                g, lambda gi: cache.log_marginal(M, gi), n, prior.gprior.a, adapt_g, rng
+            )
             acc_g += g_accepted
         if config.fixed_sigma2 is None:
             sigma2 = sample_sigma2(s, M.p_k, n, g, rng)
@@ -292,21 +295,13 @@ def run_chains(
     prior: PriorConfig,
     config: ChainConfig,
     n_chains: int,
-    max_workers: int = 1,
 ) -> ChainOutput:
     """Independent chains with seeds seed + chain index, merged by pooling draws."""
     if n_chains < 1:
         raise ValueError("n_chains must be >= 1")
-    configs = [replace(config, seed=config.seed + c) for c in range(n_chains)]
-    if n_chains == 1:
-        outs = [run_chain(data, prior, configs[0])]
-    elif max_workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=min(max_workers, n_chains)
-        ) as pool:
-            outs = list(pool.map(lambda c: run_chain(data, prior, c), configs))
-    else:
-        outs = [run_chain(data, prior, c) for c in configs]
+    outs = [
+        run_chain(data, prior, replace(config, seed=config.seed + c)) for c in range(n_chains)
+    ]
     merged = DrawStore.concat([o.draws for o in outs])
     return summarize(
         merged,

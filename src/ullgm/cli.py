@@ -217,14 +217,6 @@ def _prior_config(args: argparse.Namespace, n: int, p: int) -> PriorConfig:
     return PriorConfig(gprior=_parse_gprior(args.gprior, n), model_size=m)
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("ULLGM_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _write_fit_outputs(
     out_dir: str,
     names: list[str],
@@ -291,7 +283,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     data = _validated_dataset(y, X, family, trials)
     prior = _prior_config(args, data.n, data.p)
     config = _chain_config(args)
-    out = run_chains(data, prior, config, args.chains, _thread_cap())
+    out = run_chains(data, prior, config, args.chains)
 
     os.makedirs(args.out_dir, exist_ok=True)
     files = _write_fit_outputs(args.out_dir, names, out, shift, scale, args.save_draws)
@@ -306,10 +298,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
     )
     manifest.write(os.path.join(args.out_dir, "manifest.json"))
     return EXIT_OK
-
-
-def _sim_family(args: argparse.Namespace) -> FamilyTag:
-    return _resolve_family(args)
 
 
 def _write_sim_dataset(out_dir: str, data: Dataset, truth) -> list[str]:
@@ -353,7 +341,7 @@ def _metric_row(label: str, rep: MetricsReport, seconds: float) -> list:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
-    family = _sim_family(args)
+    family = _resolve_family(args)
     try:
         sim = SimConfig(
             n=args.n,
@@ -383,7 +371,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             )
             prior = _prior_config(args, data.n, data.p)
             config = replace(_chain_config(args), seed=args.seed + r)
-            out = run_chains(data, prior, config, args.chains, _thread_cap())
+            out = run_chains(data, prior, config, args.chains)
             rep = metrics(out, truth)
             secs = round(time.monotonic() - tr0, 3)
             reports.append((rep, secs))
@@ -534,7 +522,7 @@ def cmd_cv(args: argparse.Namespace) -> int:
         )
         prior = _prior_config(args, data_tr.n, data_tr.p)
         config = replace(_chain_config(args), seed=args.seed + s)
-        out = run_chains(data_tr, prior, config, args.chains, _thread_cap())
+        out = run_chains(data_tr, prior, config, args.chains)
         eff_mean = shift + scale * out.col_means
         X_te = (X_raw[test_idx] - eff_mean) / scale
         data_te = Dataset(

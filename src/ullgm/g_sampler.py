@@ -9,12 +9,13 @@ Robbins-Monro schedule.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .linear_gaussian import ModelSuffStats, log_marginal_given_g
-
 G_TARGET_ACC = 0.234
+# Robbins-Monro exponent of the proposal-scale schedule.
+ADAPT_KAPPA = 0.6
 
 
 def log_hyper_g_over_n(g: float, a: float, n: int) -> float:
@@ -43,7 +44,6 @@ class GAdaptState:
 
     log_tau: float = 0.0
     iter: int = 0
-    kappa: float = 0.6
     frozen: bool = False
 
     def step_sd(self) -> float:
@@ -52,13 +52,12 @@ class GAdaptState:
     def update(self, accepted: bool) -> None:
         self.iter += 1
         if not self.frozen:
-            self.log_tau += self.iter ** (-self.kappa) * (float(accepted) - G_TARGET_ACC)
+            self.log_tau += self.iter ** (-ADAPT_KAPPA) * (float(accepted) - G_TARGET_ACC)
 
 
 def mh_update_g(
     g: float,
-    s: ModelSuffStats | None,
-    p_k: int,
+    log_lik: Callable[[float], float],
     n: int,
     a: float,
     adapt: GAdaptState,
@@ -66,9 +65,8 @@ def mh_update_g(
 ) -> tuple[float, bool]:
     """One log-scale random-walk step on g.
 
-    s carries the current model's statistics; passing None drops the
-    marginal-likelihood term so the draw targets the prior alone (used by
-    the quartile checks).
+    log_lik(g) is the log marginal likelihood of the current model given g;
+    a constant one makes the draw target the prior alone.
     """
     g_new = float(g * np.exp(adapt.step_sd() * rng.standard_normal()))
     log_ratio = (
@@ -77,10 +75,7 @@ def mh_update_g(
         + np.log(g_new)
         - np.log(g)
     )
-    if s is not None:
-        log_ratio += log_marginal_given_g(s, p_k, n, g_new) - log_marginal_given_g(
-            s, p_k, n, g
-        )
+    log_ratio += log_lik(g_new) - log_lik(g)
     accepted = log_ratio >= 0.0 or np.log(rng.random()) < log_ratio
     adapt.update(accepted)
     return (g_new, True) if accepted else (g, False)

@@ -22,118 +22,60 @@ import numpy as np
 from scipy.special import expit
 
 from .core import FamilyTag
-from .likelihoods import grad_log_pmf, loglik_kernel, softplus
+from .likelihoods import loglik_value_grad, softplus
 
 BARKER_TARGET_ACC = 0.57
+# Robbins-Monro exponent of the step-size schedule: increments shrink as iter^-0.6.
+ADAPT_KAPPA = 0.6
 
 
 @dataclass
 class LatentAdaptState:
     log_step: np.ndarray
     iter: int = 0
-    kappa: float = 0.6
     frozen: bool = False
 
     @staticmethod
-    def fresh(n: int, kappa: float = 0.6) -> "LatentAdaptState":
-        return LatentAdaptState(log_step=np.zeros(n), kappa=kappa)
+    def fresh(n: int) -> "LatentAdaptState":
+        return LatentAdaptState(log_step=np.zeros(n))
 
     def update(self, accepted: np.ndarray) -> None:
         self.iter += 1
         if not self.frozen:
-            self.log_step += self.iter ** (-self.kappa) * (
+            self.log_step += self.iter ** (-ADAPT_KAPPA) * (
                 accepted.astype(np.float64) - BARKER_TARGET_ACC
             )
 
 
-def _conditional_value_grad(family: FamilyTag, y, trials, z, linpred, sigma2):
-    # log conditional of z (up to constants) and its gradient, sharing the
-    # exp/softplus evaluations between the two.
-    if family.name == "pln":
-        ez = np.exp(z)
-        v = y * z - ez
-        gr = y - ez
-    elif family.name == "bil":
-        v = y * z - trials * softplus(z)
-        gr = y * expit(-z) - (trials - y) * expit(z)
-    else:  # nbl
-        r = float(family.r)
-        v = r * z - (r + y) * softplus(z)
-        gr = r - (r + y) * expit(z)
+def conditional_value_grad(family: FamilyTag, y, trials, z, linpred, sigma2):
+    """Log full conditional of z (up to constants) and its gradient."""
+    v, gr = loglik_value_grad(family, y, z, trials)
     resid = z - linpred
     return v - resid * resid / (2.0 * sigma2), gr - resid / sigma2
 
 
-def log_target_z(
-    z_i,
-    y_i,
-    linpred_i,
-    sigma2: float,
-    family: FamilyTag,
-    trials_i=None,
-):
-    """Value (up to constants) and gradient of the conditional of one z_i."""
-    v = loglik_kernel(family, y_i, z_i, trials_i)
-    gr = grad_log_pmf(family, y_i, z_i, trials_i)
-    resid = np.asarray(z_i, dtype=np.float64) - linpred_i
-    v = v - resid * resid / (2.0 * sigma2)
-    gr = gr - resid / sigma2
-    if np.ndim(v) == 0:
-        return float(v), float(gr)
-    return v, gr
-
-
 def barker_step(z, step, value_and_grad, rng: np.random.Generator):
-    """One Barker update of z (scalar or array, elementwise targets).
+    """One Barker update of the array z under an elementwise target.
 
-    value_and_grad(z) must return (log target, gradient) of matching shape.
-    Non-finite gradients are replaced by zero, which turns the proposal into
-    a symmetric random walk at those coordinates; the acceptance ratio uses
-    the same surrogate gradient at both endpoints, so the kernel stays a
-    valid Metropolis-Hastings step.
+    value_and_grad(z) must return (log target, gradient) arrays shaped like
+    z. Non-finite gradients are replaced by zero, which turns the proposal
+    into a symmetric random walk at those coordinates; the acceptance ratio
+    uses the same surrogate gradient at both endpoints, so the kernel stays
+    a valid Metropolis-Hastings step.
     """
-    z_arr = np.asarray(z, dtype=np.float64)
-    scalar = z_arr.ndim == 0
-    z_arr = np.atleast_1d(z_arr)
-    step = np.broadcast_to(np.asarray(step, dtype=np.float64), z_arr.shape)
-
-    v0, g0 = value_and_grad(z_arr)
-    v0, g0 = np.atleast_1d(v0), np.atleast_1d(g0)
-    g0h = np.where(np.isfinite(g0), g0, 0.0)
-
-    xi = step * rng.standard_normal(z_arr.shape[0])
-    u_dir = rng.random(z_arr.shape[0])
+    n = z.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
+        v0, g0 = value_and_grad(z)
+        g0h = np.where(np.isfinite(g0), g0, 0.0)
+        xi = step * rng.standard_normal(n)
+        u_dir = rng.random(n)
         d = np.where(u_dir < expit(xi * g0h), xi, -xi)
-        z_prop = z_arr + d
+        z_prop = z + d
         v1, g1 = value_and_grad(z_prop)
-        v1, g1 = np.atleast_1d(v1), np.atleast_1d(g1)
         g1h = np.where(np.isfinite(g1), g1, 0.0)
         log_acc = (v1 - v0) + softplus(-d * g0h) - softplus(d * g1h)
-        accepted = np.log(rng.random(z_arr.shape[0])) < log_acc  # NaN rejects
-    z_out = np.where(accepted, z_prop, z_arr)
-    if scalar:
-        return float(z_out[0]), bool(accepted[0])
-    return z_out, accepted
-
-
-def barker_update(
-    z_i: float,
-    y_i: float,
-    linpred_i: float,
-    sigma2: float,
-    family: FamilyTag,
-    step: float,
-    rng: np.random.Generator,
-    trials_i=None,
-) -> tuple[float, bool]:
-    """Single-observation update; handy with one RNG substream per observation."""
-    return barker_step(
-        z_i,
-        step,
-        lambda zz: log_target_z(zz, y_i, linpred_i, sigma2, family, trials_i),
-        rng,
-    )
+        accepted = np.log(rng.random(n)) < log_acc  # NaN rejects
+    return np.where(accepted, z_prop, z), accepted
 
 
 def update_all_latents(
@@ -147,19 +89,11 @@ def update_all_latents(
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One full sweep over the latent vector; adapts step sizes in place."""
-    n = z.shape[0]
-    step = np.exp(adapt.log_step)
-    with np.errstate(over="ignore", invalid="ignore"):
-        v0, g0 = _conditional_value_grad(family, y, trials, z, linpred, sigma2)
-        g0h = np.where(np.isfinite(g0), g0, 0.0)
-        xi = step * rng.standard_normal(n)
-        u_dir = rng.random(n)
-        d = np.where(u_dir < expit(xi * g0h), xi, -xi)
-        z_prop = z + d
-        v1, g1 = _conditional_value_grad(family, y, trials, z_prop, linpred, sigma2)
-        g1h = np.where(np.isfinite(g1), g1, 0.0)
-        log_acc = (v1 - v0) + softplus(-d * g0h) - softplus(d * g1h)
-        accepted = np.log(rng.random(n)) < log_acc
-    z_out = np.where(accepted, z_prop, z)
+    z_out, accepted = barker_step(
+        z,
+        np.exp(adapt.log_step),
+        lambda x: conditional_value_grad(family, y, trials, x, linpred, sigma2),
+        rng,
+    )
     adapt.update(accepted)
     return z_out, accepted

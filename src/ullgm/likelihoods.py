@@ -14,8 +14,6 @@ not overflow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import expit, gammaln, ndtr
 
@@ -62,59 +60,24 @@ def log_pmf(family: FamilyTag, y, z, trials=None):
     return _maybe_scalar(out)
 
 
-def grad_log_pmf(family: FamilyTag, y, z, trials=None):
-    """d/dz log f(y | z). Written with expit so large |z| stays finite
-    for the logit families; pln overflows to -inf past z ~ 709, which the
-    latent updater treats as a signal to fall back to a symmetric walk."""
-    y, z = _as_float_arrays(y, z)
-    if family.name == "pln":
-        out = y - np.exp(z)
-    elif family.name == "bil":
-        if trials is None:
-            raise ValueError("bil grad_log_pmf needs trials")
-        (N,) = _as_float_arrays(trials)
-        out = y * expit(-z) - (N - y) * expit(z)
-    elif family.name == "nbl":
-        r = float(family.r)
-        out = r - (r + y) * expit(z)
-    else:  # pragma: no cover
-        raise ValueError(family.name)
-    return _maybe_scalar(out)
-
-
-def loglik_kernel(family: FamilyTag, y, z, trials=None):
-    """log f(y | z) dropping the z-free combinatorial constants.
+def loglik_value_grad(family: FamilyTag, y, z, trials=None):
+    """log f(y | z) without its z-free constants, and its z-gradient.
 
     Only differences in z matter inside the latent Metropolis step, so the
-    gammaln terms are omitted to keep the per-iteration cost down.
+    gammaln terms are dropped; log_pmf keeps them. The gradient is written
+    with expit so large |z| stays finite for the logit families; pln
+    overflows to -inf past z ~ 709, which the Barker step treats as a
+    signal to fall back to a symmetric walk.
     """
-    y, z = _as_float_arrays(y, z)
     if family.name == "pln":
-        out = y * z - np.exp(z)
-    elif family.name == "bil":
-        (N,) = _as_float_arrays(trials)
-        out = y * z - N * softplus(z)
-    elif family.name == "nbl":
+        ez = np.exp(z)
+        return y * z - ez, y - ez
+    if family.name == "bil":
+        return y * z - trials * softplus(z), y * expit(-z) - (trials - y) * expit(z)
+    if family.name == "nbl":
         r = float(family.r)
-        out = r * z - (r + y) * softplus(z)
-    else:  # pragma: no cover
-        raise ValueError(family.name)
-    return _maybe_scalar(out)
-
-
-@dataclass(frozen=True)
-class PointLik:
-    """Single-observation view, convenient in scalar code paths and tests."""
-
-    family: FamilyTag
-    y: float
-    trials: float | None = None
-
-    def log_pmf(self, z):
-        return log_pmf(self.family, self.y, z, self.trials)
-
-    def grad_log_pmf(self, z):
-        return grad_log_pmf(self.family, self.y, z, self.trials)
+        return r * z - (r + y) * softplus(z), r - (r + y) * expit(z)
+    raise ValueError(family.name)  # pragma: no cover
 
 
 def pln_moments(linpred, sigma2):

@@ -38,19 +38,12 @@ def _backward_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModelSuffStats:
-    """Per-model sufficient statistics of the centered regression of z.
+    """Per-model scalar statistics of the centered regression of z; the
+    sigma2 and alpha draws and the marginal likelihood need nothing else."""
 
-    Views produced by SuffStatsCache.light_stats carry only the scalar
-    pieces (zbar, tss, r2) and leave the matrix fields as None; the sigma2,
-    alpha, and marginal-likelihood formulas below never touch those.
-    """
-
-    XtX: np.ndarray | None
-    Xtz: np.ndarray | None
     zbar: float
     tss: float
     r2: float
-    chol: np.ndarray | None  # lower factor of XtX; None when p_k == 0
 
 
 def _r2_from_chol(L: np.ndarray, Xtz: np.ndarray, tss: float) -> tuple[float, np.ndarray]:
@@ -62,33 +55,30 @@ def _r2_from_chol(L: np.ndarray, Xtz: np.ndarray, tss: float) -> tuple[float, np
 
 
 def suff_stats(z: np.ndarray, M: ModelIndicator, design: CenteredDesign) -> ModelSuffStats:
-    """Builds the statistics from scratch; the chain uses SuffStatsCache instead."""
+    """Builds the statistics from scratch; the reference that tests check
+    SuffStatsCache against."""
     z = np.asarray(z, dtype=np.float64)
     zbar = float(z.mean())
     zc = z - zbar
     tss = float(zc @ zc)
     if tss < TSS_FLOOR:
         raise DegenerateZ("latent vector is numerically constant")
-    idx = M.indices
-    Xk = design.Xc[:, idx]
-    XtX = Xk.T @ Xk
-    Xtz = Xk.T @ z
-    L = cholesky_with_tol(XtX)
+    Xk = design.Xc[:, M.indices]
+    L = cholesky_with_tol(Xk.T @ Xk)
     if L is None:
         raise np.linalg.LinAlgError("X_k'X_k is rank-deficient for this model")
-    r2, _ = _r2_from_chol(L, Xtz, tss)
-    return ModelSuffStats(XtX, Xtz, zbar, tss, r2, L if M.p_k > 0 else None)
+    r2, _ = _r2_from_chol(L, Xk.T @ z, tss)
+    return ModelSuffStats(zbar, tss, r2)
 
 
-def log_marginal_given_g(s: ModelSuffStats, p_k: int, n: int, g: float) -> float:
-    """log p(z | M, g) up to a model-independent constant.
+def log_marginal(r2: float, tss: float, p_k: int, n: int, g: float) -> float:
+    """log p(z | M, g) up to a model-independent constant, r2 in [0, R2_CEIL].
 
     ((n-1-p_k)/2) log(1+g) - ((n-1)/2) log[(1 + g (1 - r2)) tss].
     The null model reduces to -((n-1)/2) log tss.
     """
-    r2 = min(max(s.r2, 0.0), R2_CEIL)
     return 0.5 * (n - 1 - p_k) * np.log1p(g) - 0.5 * (n - 1) * (
-        np.log1p(g * (1.0 - r2)) + np.log(s.tss)
+        np.log1p(g * (1.0 - r2)) + np.log(tss)
     )
 
 
@@ -103,25 +93,6 @@ def sample_sigma2(s: ModelSuffStats, p_k: int, n: int, g: float, rng: np.random.
 
 def sample_alpha(s: ModelSuffStats, n: int, sigma2: float, rng: np.random.Generator) -> float:
     return float(s.zbar + np.sqrt(sigma2 / n) * rng.standard_normal())
-
-
-def _sample_beta_core(
-    L: np.ndarray, w: np.ndarray, delta: float, sigma2: float, rng: np.random.Generator
-) -> np.ndarray:
-    # With w = L^{-1} X_k'z the conditional is L'^{-1}(delta w + sqrt(delta
-    # sigma2) eps), eps ~ N(0, I): mean delta bhat, covariance
-    # delta sigma2 (X_k'X_k)^{-1}.
-    eps = rng.standard_normal(w.shape[0])
-    return _backward_solve(L, delta * w + np.sqrt(delta * sigma2) * eps)
-
-
-def sample_beta(s: ModelSuffStats, sigma2: float, g: float, rng: np.random.Generator) -> np.ndarray:
-    """beta_k | z, sigma2, M, g ~ N(delta bhat, delta sigma2 (X_k'X_k)^{-1})."""
-    if s.Xtz is None or s.Xtz.shape[0] == 0:
-        return np.zeros(0)
-    delta = g / (1.0 + g)
-    w = _forward_solve(s.chol, s.Xtz)
-    return _sample_beta_core(s.chol, w, delta, sigma2, rng)
 
 
 class SuffStatsCache:
@@ -186,27 +157,20 @@ class SuffStatsCache:
         return self._r2_and_w(M)[0]
 
     def log_marginal(self, M: ModelIndicator, g: float) -> float:
-        r2 = self.r2(M)
-        return 0.5 * (self.n - 1 - M.p_k) * np.log1p(g) - 0.5 * (self.n - 1) * (
-            np.log1p(g * (1.0 - r2)) + np.log(self.tss)
-        )
+        return log_marginal(self.r2(M), self.tss, M.p_k, self.n, g)
 
     def sample_beta(self, M: ModelIndicator, sigma2: float, g: float, rng) -> np.ndarray:
+        """beta_k | z, sigma2, M, g ~ N(delta bhat, delta sigma2 (X_k'X_k)^{-1}).
+
+        With w = L^{-1} X_k'z this is L'^{-1}(delta w + sqrt(delta sigma2)
+        eps), eps ~ N(0, I).
+        """
         _, w = self._r2_and_w(M)
         if M.p_k == 0:
             return np.zeros(0)
-        return _sample_beta_core(self.chol(M), w, g / (1.0 + g), sigma2, rng)
+        delta = g / (1.0 + g)
+        eps = rng.standard_normal(w.shape[0])
+        return _backward_solve(self.chol(M), delta * w + np.sqrt(delta * sigma2) * eps)
 
     def light_stats(self, M: ModelIndicator) -> ModelSuffStats:
-        return ModelSuffStats(None, None, self.zbar, self.tss, self.r2(M), None)
-
-    def stats(self, M: ModelIndicator) -> ModelSuffStats:
-        idx = M.indices
-        XtX = self.XtX_full[np.ix_(idx, idx)]
-        Xtz = self.xtz_full[idx]
-        L = self.chol(M)
-        if M.p_k > 0 and L is None:
-            raise np.linalg.LinAlgError("rank-deficient model")
-        return ModelSuffStats(
-            XtX, Xtz, self.zbar, self.tss, self.r2(M), L if M.p_k > 0 else None
-        )
+        return ModelSuffStats(self.zbar, self.tss, self.r2(M))

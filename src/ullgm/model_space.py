@@ -15,8 +15,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import gammaln
 
-from .core import CenteredDesign, ModelIndicator, rank_ok
-from .linear_gaussian import SuffStatsCache
+from .core import ModelIndicator
 
 ONE_THIRD_LOG = np.log(1.0 / 3.0)
 
@@ -112,46 +111,29 @@ def propose_ads(M: ModelIndicator, rng: np.random.Generator) -> AdsProposal:
 
 def model_mh_step(
     M: ModelIndicator,
-    z: np.ndarray | None,
-    design: CenteredDesign | None,
-    g: float,
+    log_marginal: Callable[[ModelIndicator], float],
+    full_rank: Callable[[ModelIndicator], bool],
     params: ModelPriorParams,
     rng: np.random.Generator,
-    *,
-    cache: SuffStatsCache | None = None,
-    log_marginal_fn: Callable[[ModelIndicator], float] | None = None,
-    rank_fn: Callable[[ModelIndicator], bool] | None = None,
 ) -> tuple[ModelIndicator, bool]:
-    """One Metropolis step over models given the current latent vector.
+    """One Metropolis step over models.
 
-    The acceptance ratio combines the marginal likelihood of z, the model
-    prior, and the add/delete Hastings correction. Passing log_marginal_fn
-    overrides the likelihood term (a flat one turns the kernel into a
-    prior sampler, used by the stationarity checks); passing a cache reuses
-    factorizations across calls.
+    The acceptance ratio combines log_marginal (the marginal likelihood of
+    the current latent vector; a flat one turns the kernel into a prior
+    sampler), the model prior, zero for models full_rank rejects, and the
+    add/delete Hastings correction.
     """
-    if log_marginal_fn is None:
-        if cache is None:
-            cache = SuffStatsCache(design)
-            cache.set_z(z)
-        elif z is not None:
-            cache.set_z(z)
-        log_marginal_fn = lambda Mi: cache.log_marginal(Mi, g)
-        rank_fn = cache.has_full_rank
-    elif rank_fn is None:
-        rank_fn = lambda Mi: True
-
     prop = propose_ads(M, rng)
     M_new = prop.proposed
-    lp_new = log_model_prior(M_new, params, rank_fn(M_new))
+    lp_new = log_model_prior(M_new, params, full_rank(M_new))
     if lp_new == -np.inf:
         return M, False
     lp_old = log_model_prior(M, params, True)
     log_ratio = (
         lp_new
         - lp_old
-        + log_marginal_fn(M_new)
-        - log_marginal_fn(M)
+        + log_marginal(M_new)
+        - log_marginal(M)
         + prop.log_correction
     )
     if log_ratio >= 0.0 or np.log(rng.random()) < log_ratio:

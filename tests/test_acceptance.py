@@ -27,12 +27,11 @@ from ullgm.core import (
     nbl,
 )
 from ullgm.g_sampler import GAdaptState, hyper_g_over_n_ppf, mh_update_g
-from ullgm.likelihoods import grad_log_pmf, log_pmf
+from ullgm.likelihoods import log_pmf, loglik_value_grad
 from ullgm.linear_gaussian import (
     SuffStatsCache,
-    log_marginal_given_g,
+    log_marginal,
     sample_alpha,
-    sample_beta,
     sample_sigma2,
     suff_stats,
 )
@@ -56,7 +55,7 @@ def test_criterion_1_model_step_matches_exact_enumeration():
         for idx in itertools.combinations(range(p), k):
             M = ModelIndicator.from_indices(p, idx)
             s = suff_stats(z, M, design)
-            logs[M.key] = log_marginal_given_g(s, k, n, g) + log_model_prior(
+            logs[M.key] = log_marginal(s.r2, s.tss, k, n, g) + log_model_prior(
                 M, params, True
             )
     keys = list(logs)
@@ -67,11 +66,12 @@ def test_criterion_1_model_step_matches_exact_enumeration():
 
     cache = SuffStatsCache(design)
     cache.set_z(z)
+    log_marg = lambda Mi: cache.log_marginal(Mi, g)
     M = ModelIndicator.null(p)
     freq = dict.fromkeys(keys, 0)
     steps = 500_000
     for _ in range(steps):
-        M, _ = model_mh_step(M, None, None, g, params, rng, cache=cache)
+        M, _ = model_mh_step(M, log_marg, cache.has_full_rank, params, rng)
         freq[M.key] += 1
     tv = 0.5 * sum(abs(freq[k] / steps - target[k]) for k in keys)
     elapsed = time.monotonic() - t0
@@ -101,7 +101,7 @@ def test_criterion_2_gradients_match_finite_differences():
         fd = (log_pmf(fam, y, z + h, trials=tr) - log_pmf(fam, y, z - h, trials=tr)) / (
             2 * h
         )
-        g = grad_log_pmf(fam, y, z, trials=tr)
+        _, g = loglik_value_grad(fam, y, z, trials=tr)
         rel = abs(g - fd) / max(1.0, abs(fd))
         worst = max(worst, rel)
     assert worst < 1e-6, worst
@@ -115,7 +115,9 @@ def test_criterion_3_conjugate_conditional_moments():
     design = center_design(X)
     z = 1.0 + 0.8 * X[:, 0] + rng.normal(scale=0.7, size=n)
     M = ModelIndicator.from_indices(p, [0, 2])
-    s = suff_stats(z, M, design)
+    cache = SuffStatsCache(design)
+    cache.set_z(z)
+    s = cache.light_stats(M)
     g = float(n)
     delta = g / (1 + g)
     m_draws = 100_000
@@ -149,7 +151,7 @@ def test_criterion_3_conjugate_conditional_moments():
     XtX = Xk.T @ Xk
     bhat = np.linalg.solve(XtX, Xk.T @ (z - z.mean()))
     cov_th = delta * sigma2 * np.linalg.inv(XtX)
-    b_draws = np.array([sample_beta(s, sigma2, g, rng) for _ in range(m_draws)])
+    b_draws = np.array([cache.sample_beta(M, sigma2, g, rng) for _ in range(m_draws)])
     se_b = b_draws.std(axis=0, ddof=1) / np.sqrt(m_draws)
     err_b = np.abs(b_draws.mean(axis=0) - delta * bhat)
     assert np.all(err_b < 3 * se_b), (err_b, se_b)
@@ -183,10 +185,7 @@ def test_criterion_4a_ads_prior_stationarity():
     hist = np.zeros(p + 1)
     steps = 1_200_000
     for _ in range(steps):
-        M, _ = model_mh_step(
-            M, None, None, 1.0, params, rng,
-            log_marginal_fn=lambda Mi: 0.0, rank_fn=lambda Mi: True,
-        )
+        M, _ = model_mh_step(M, lambda Mi: 0.0, lambda Mi: True, params, rng)
         hist[M.p_k] += 1
     tv = 0.5 * np.abs(hist / steps - target).sum()
     assert tv < 0.02, tv
@@ -201,7 +200,7 @@ def test_criterion_4b_g_prior_stationarity():
     iters, burn = 1_500_000, 50_000
     draws = np.empty(iters - burn)
     for t in range(iters):
-        g, _ = mh_update_g(g, None, 0, n, a, adapt, rng)
+        g, _ = mh_update_g(g, lambda _: 0.0, n, a, adapt, rng)
         if t >= burn:
             draws[t - burn] = g
     rels = []

@@ -57,8 +57,7 @@ def test_config_validation():
 def test_init_chain_state():
     data = _dataset()
     prior = _prior(data)
-    rng = np.random.default_rng(0)
-    M, state = init_chain(data, prior, ChainConfig(n_iter=10), rng)
+    M, state = init_chain(data, prior, ChainConfig(n_iter=10))
     assert M.p_k == 0
     np.testing.assert_allclose(state.z, np.log(data.y + 0.5))
     assert state.sigma2 == 1.0
@@ -66,12 +65,12 @@ def test_init_chain_state():
     assert state.g == data.n
 
     datab = _dataset(family=BIL, trials=12)
-    Mb, sb = init_chain(datab, _prior(datab), ChainConfig(n_iter=10), rng)
+    Mb, sb = init_chain(datab, _prior(datab), ChainConfig(n_iter=10))
     want = np.log((datab.y + 0.5) / (datab.trials - datab.y + 0.5))
     np.testing.assert_allclose(sb.z, want)
 
     datan = _dataset(family=nbl(2))
-    Mn, sn = init_chain(datan, _prior(datan), ChainConfig(n_iter=10), rng)
+    Mn, sn = init_chain(datan, _prior(datan), ChainConfig(n_iter=10))
     np.testing.assert_allclose(sn.z, np.log(2.0) - np.log(datan.y + 0.5))
 
 
@@ -156,9 +155,6 @@ def test_run_chains_pools_draws():
     np.testing.assert_array_equal(
         pooled.draws.alpha[: single.draws.n_kept], single.draws.alpha
     )
-    again = run_chains(data, prior, cfg, n_chains=3, max_workers=3)
-    np.testing.assert_array_equal(pooled.draws.alpha, again.draws.alpha)
-    np.testing.assert_array_equal(pooled.draws.included, again.draws.included)
 
 
 def test_column_permutation_equivariance():
@@ -269,14 +265,7 @@ def test_joint_distribution_forward_vs_gibbs():
         y = rng.poisson(np.exp(np.clip(z, None, 30.0))).astype(float)
         for _ in range(3):
             M, _ = model_mh_step(
-                M,
-                None,
-                None,
-                g0,
-                params,
-                rng,
-                log_marginal_fn=lambda Mi: cond_log_marginal(Mi, z),
-                rank_fn=lambda Mi: True,
+                M, lambda Mi: cond_log_marginal(Mi, z), lambda Mi: True, params, rng
             )
         cache.set_z(z)
         beta = cache.sample_beta(M, sigma2_0, g0, rng)

@@ -12,6 +12,7 @@ from ullgm.g_sampler import (
     log_hyper_g_over_n,
     mh_update_g,
 )
+from ullgm.linear_gaussian import log_marginal
 
 
 def test_density_integrates_to_one():
@@ -56,7 +57,7 @@ def test_mh_prior_only_matches_quantiles():
     for t in range(burn + keep):
         if t == burn:
             adapt = adapt.freeze() if hasattr(adapt, "freeze") else adapt
-        g, acc = mh_update_g(g, None, 0, n, a, adapt, rng)
+        g, acc = mh_update_g(g, lambda _: 0.0, n, a, adapt, rng)
         if t >= burn:
             draws[t - burn] = g
     for q in (0.25, 0.5, 0.75):
@@ -72,7 +73,7 @@ def test_mh_acceptance_adapts_toward_target():
     adapt = GAdaptState()
     accs = []
     for t in range(40_000):
-        g, acc = mh_update_g(g, None, 0, n, a, adapt, rng)
+        g, acc = mh_update_g(g, lambda _: 0.0, n, a, adapt, rng)
         if t >= 20_000:
             accs.append(acc)
     rate = np.mean(accs)
@@ -99,17 +100,14 @@ def test_adapt_state_schedule_and_freeze():
 def test_mh_with_marginal_targets_tilted_density():
     # make the conditional explicit: p(g | ...) propto p(g) B(g) with
     # B(g) = (1+g)^{(n-1-p_k)/2} (1 + g(1-r2))^{-(n-1)/2}
-    class S:
-        tss = 1.0
-        r2 = 0.6
-
+    tss, r2 = 1.0, 0.6
     a, n, p_k = 3.0, 25, 2
 
     def log_target(g):
         return (
             log_hyper_g_over_n(g, a, n)
             + 0.5 * (n - 1 - p_k) * np.log1p(g)
-            - 0.5 * (n - 1) * np.log1p(g * (1 - S.r2))
+            - 0.5 * (n - 1) * np.log1p(g * (1 - r2))
         )
 
     norm, _ = quad(lambda t: np.exp(log_target(t)), 0, np.inf, limit=400)
@@ -124,7 +122,7 @@ def test_mh_with_marginal_targets_tilted_density():
     burn, keep = 20_000, 60_000
     draws = np.empty(keep)
     for t in range(burn + keep):
-        g, _ = mh_update_g(g, S, p_k, n, a, adapt, rng)
+        g, _ = mh_update_g(g, lambda gi: log_marginal(r2, tss, p_k, n, gi), n, a, adapt, rng)
         if t >= burn:
             draws[t - burn] = g
     # thin to roughly independent draws before the KS comparison

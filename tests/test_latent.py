@@ -9,8 +9,7 @@ from ullgm.latent import (
     BARKER_TARGET_ACC,
     LatentAdaptState,
     barker_step,
-    barker_update,
-    log_target_z,
+    conditional_value_grad,
     update_all_latents,
 )
 from ullgm.likelihoods import log_pmf
@@ -19,10 +18,10 @@ from ullgm.likelihoods import log_pmf
 def test_log_target_combines_count_and_gaussian_terms():
     y, lin, s2 = 3.0, 0.4, 0.5
     z = 1.1
-    v, g = log_target_z(z, y, lin, s2, PLN, None)
+    v, g = conditional_value_grad(PLN, y, None, z, lin, s2)
     want = log_pmf(PLN, y, z) - 0.5 * (z - lin) ** 2 / s2
     # value may drop z-free constants; compare differences instead
-    v2, _ = log_target_z(0.3, y, lin, s2, PLN, None)
+    v2, _ = conditional_value_grad(PLN, y, None, 0.3, lin, s2)
     want2 = log_pmf(PLN, y, 0.3) - 0.5 * (0.3 - lin) ** 2 / s2
     np.testing.assert_allclose(v - v2, want - want2, rtol=1e-10)
     # gradient is exact: y - e^z - (z - lin)/s2
@@ -52,17 +51,9 @@ def test_barker_step_preserves_standard_normal():
     assert stat < 0.015, stat
 
 
-def test_barker_step_scalar_path():
-    rng = np.random.default_rng(1)
-    z = 0.5
-    for _ in range(50):
-        z, acc = barker_step(z, 1.0, lambda x: (-0.5 * x * x, -x), rng)
-        assert np.isscalar(z) or np.ndim(z) == 0
-        assert acc in (True, False) or np.ndim(acc) == 0
-
-
 def test_barker_update_targets_conditional():
-    # single-observation z update against quadrature of the conditional
+    # the chain's sweep at unit step sizes against quadrature of the
+    # single-observation conditional
     y, lin, s2 = 4.0, 1.0, 0.3
     fam = PLN
 
@@ -78,17 +69,12 @@ def test_barker_update_targets_conditional():
     rng = np.random.default_rng(2)
     n_rep = 1500
     z = np.full(n_rep, np.log(y + 0.5))
-    step = np.full(n_rep, 1.0)
+    yv = np.full(n_rep, y)
+    linv = np.full(n_rep, lin)
+    adapt = LatentAdaptState.fresh(n_rep)  # log step 0: every step is 1
+    adapt.frozen = True
     for _ in range(300):
-        z, _ = barker_step(
-            z,
-            step,
-            lambda x: (
-                log_pmf(fam, y, x) - 0.5 * (x - lin) ** 2 / s2,
-                (y - np.exp(x)) - (x - lin) / s2,
-            ),
-            rng,
-        )
+        z, _ = update_all_latents(z, yv, None, linv, s2, fam, adapt, rng)
     stat = kstest(z, np.vectorize(cdf)).statistic
     assert stat < 0.045, stat
 
@@ -190,23 +176,3 @@ def test_infinite_target_value_rejects_without_nan():
     for _ in range(50):
         z, _ = update_all_latents(z, y, None, lin, 1.0, PLN, adapt, rng)
         assert np.all(np.isfinite(z))
-
-
-def test_scalar_updates_commute_with_observation_order():
-    # per-observation generators make the sweep order immaterial
-    y = np.array([1.0, 4.0, 0.0, 7.0])
-    lin = np.array([0.2, 1.0, -0.5, 1.5])
-    z0 = np.log(y + 0.5)
-    step = 1.1
-
-    def run(order, seeds):
-        z = z0.copy()
-        for i in order:
-            rng_i = np.random.default_rng(seeds[i])
-            z[i], _ = barker_update(z[i], y[i], lin[i], 0.5, PLN, step, rng_i)
-        return z
-
-    seeds = [11, 22, 33, 44]
-    a = run([0, 1, 2, 3], seeds)
-    b = run([3, 1, 0, 2], seeds)
-    np.testing.assert_array_equal(a, b)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from ullgm.core import ModelIndicator, center_design
-from ullgm.linear_gaussian import SuffStatsCache, log_marginal_given_g, suff_stats
+from ullgm.linear_gaussian import SuffStatsCache, log_marginal, suff_stats
 from ullgm.model_space import (
     AdsProposal,
     ModelPriorParams,
@@ -151,16 +151,7 @@ def test_chain_on_prior_reaches_beta_binomial_sizes():
     counts = np.zeros(p + 1)
     steps = 200_000
     for _ in range(steps):
-        M, _ = model_mh_step(
-            M,
-            None,
-            None,
-            1.0,
-            params,
-            rng,
-            log_marginal_fn=lambda M_: 0.0,
-            rank_fn=lambda M_: True,
-        )
+        M, _ = model_mh_step(M, lambda M_: 0.0, lambda M_: True, params, rng)
         counts[M.p_k] += 1
     _, per_model, ncomb = _prior_pmf_by_size(p, m)
     target = per_model * ncomb
@@ -175,7 +166,7 @@ def _enumerated_posterior(z, design, g, params, n):
         for idx in itertools.combinations(range(p), k):
             M = ModelIndicator.from_indices(p, idx)
             s = suff_stats(z, M, design)
-            logs[M.key] = log_marginal_given_g(s, k, n, g) + log_model_prior(
+            logs[M.key] = log_marginal(s.r2, s.tss, k, n, g) + log_model_prior(
                 M, params, True
             )
     keys = list(logs)
@@ -198,10 +189,11 @@ def test_model_step_targets_enumerated_posterior():
     cache = SuffStatsCache(design)
     cache.set_z(z)
     M = ModelIndicator.null(p)
+    log_marg = lambda Mi: cache.log_marginal(Mi, g)
     freq = {k: 0 for k in target}
     steps = 100_000
     for _ in range(steps):
-        M, _ = model_mh_step(M, z, design, g, params, rng, cache=cache)
+        M, _ = model_mh_step(M, log_marg, cache.has_full_rank, params, rng)
         freq[M.key] += 1
     tv = 0.5 * sum(abs(freq[k] / steps - target[k]) for k in target)
     assert tv < 0.02, tv
