@@ -8,8 +8,17 @@ a one-dimensional integral evaluated with fixed-order Gauss-Legendre
 quadrature on an interval centered at a Gaussian approximation to the
 integrand: m +- 6 sqrt(s), where (m, s) come from matching the likelihood
 curvature at a data-driven anchor against the N(linpred, sigma2) prior.
-Draw-level probabilities are floored at 1e-300 and averaged before the log,
-so the score of draw s is never -inf and rare events stay finite.
+
+The nodes of all draws form one node-major (order, S) grid, so each
+reduction runs over contiguous rows. The log integrand is built in place in
+the log_pmf output; the per-draw constants (the interval's log half-width
+and the Gaussian normaliser) are added after the reduction over nodes,
+since they do not vary across nodes. Both reductions, over nodes and then
+over draws, are max-shifted log-sum-exps. A draw whose integrand is -inf or
+underflows at every node gets -inf before the floor, never NaN: a
+non-finite shift is reset to 0. Draw-level probabilities are floored at
+1e-300 and averaged before the log, so the score of draw s is never -inf
+and rare events stay finite.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import logsumexp, roots_legendre
+from scipy.special import roots_legendre
 
 from .chain import DrawStore
 from .core import Dataset, FamilyTag
@@ -70,8 +79,25 @@ def approx_z_moments(y, trials, linpred, sigma2, family: FamilyTag) -> ZApproxMo
 
 @lru_cache(maxsize=8)
 def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and log weights on [-1, 1], cached read-only."""
     x, w = roots_legendre(order)
-    return x, w
+    log_w = np.log(w)
+    x.flags.writeable = False
+    log_w.flags.writeable = False
+    return x, log_w
+
+
+def _log_sum_exp(a: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(a))) along axis; overwrites a.
+
+    A slice that is -inf everywhere gives -inf, not NaN.
+    """
+    shift = a.max(axis=axis, keepdims=True)
+    shift[~np.isfinite(shift)] = 0.0
+    a -= shift
+    np.exp(a, out=a)
+    with np.errstate(divide="ignore"):
+        return np.log(a.sum(axis=axis)) + np.squeeze(shift, axis=axis)
 
 
 def log_predictive_draws(
@@ -91,15 +117,16 @@ def log_predictive_draws(
     s2 = np.broadcast_to(np.asarray(sigma2, dtype=np.float64), linpred.shape)
     mom = approx_z_moments(y, trials, linpred, s2, family)
     half = HALF_WIDTH_SDS * np.sqrt(mom.s)
-    x, w = _gl_nodes(order)
-    zs = mom.m[:, None] + half[:, None] * x[None, :]
-    log_lik = log_pmf(family, float(y), zs, trials)
-    log_prior = (
-        -0.5 * np.log(2.0 * np.pi * s2)[:, None]
-        - (zs - linpred[:, None]) ** 2 / (2.0 * s2[:, None])
-    )
-    log_w = np.log(w)[None, :] + np.log(half)[:, None]
-    out = logsumexp(log_w + log_lik + log_prior, axis=1)
+    x, log_w = _gl_nodes(order)
+    zs = mom.m[None, :] + x[:, None] * half[None, :]  # (order, S)
+    log_f = log_pmf(family, float(y), zs, trials)
+    zs -= linpred
+    np.square(zs, out=zs)
+    zs /= 2.0 * s2
+    log_f -= zs
+    log_f += log_w[:, None]
+    out = _log_sum_exp(log_f, axis=0)
+    out += np.log(half) - 0.5 * np.log(2.0 * np.pi * s2)
     return np.maximum(out, LOG_PMF_FLOOR)
 
 
@@ -130,15 +157,13 @@ def per_point_log_predictive(
         raise ValueError("prediction needs stored beta draws")
     Xc_new = holdout.X - col_means[None, :]
     linpreds = draws.alpha[None, :] + Xc_new @ draws.beta.T  # (n_p, S)
-    S = draws.n_kept
-    n_p = holdout.n
-    logp = np.empty(n_p)
-    for i in range(n_p):
+    # Each row's linear predictors give way to that point's per-draw scores.
+    for i in range(holdout.n):
         trials_i = None if holdout.trials is None else float(holdout.trials[i])
-        per_draw = log_predictive_draws(
+        linpreds[i] = log_predictive_draws(
             holdout.y[i], trials_i, linpreds[i], draws.sigma2, holdout.family
         )
-        logp[i] = logsumexp(per_draw) - np.log(S)
+    logp = _log_sum_exp(linpreds, axis=1) - np.log(draws.n_kept)
     floored = logp <= LOG_PMF_FLOOR + 1e-9
     return logp, floored
 

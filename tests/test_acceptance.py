@@ -12,6 +12,7 @@ import time
 from math import comb
 
 import numpy as np
+import pytest
 from scipy.stats import binom, poisson
 
 from ullgm.chain import ChainConfig, run_chain
@@ -260,6 +261,7 @@ def test_criterion_5_predictive_quadrature():
     )
 
 
+@pytest.mark.slow
 def test_criterion_6_scaled_simulation_study():
     t0 = time.monotonic()
     cfg = SimConfig(n=1000, p=50, rho=0.6, family=PLN, dgp="ullgm", sigma2=0.2)
@@ -292,6 +294,7 @@ def test_criterion_6_scaled_simulation_study():
     )
 
 
+@pytest.mark.slow
 def test_criterion_7_overdispersion_helps_prediction():
     rng = np.random.default_rng(2027)
     n, p = 400, 20
@@ -329,6 +332,7 @@ def test_criterion_7_overdispersion_helps_prediction():
     )
 
 
+@pytest.mark.slow
 def test_criterion_8_true_model_probability_grows_with_n():
     p = 8
     want_bits = "11000000"

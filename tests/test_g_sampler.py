@@ -56,7 +56,7 @@ def test_mh_prior_only_matches_quantiles():
     draws = np.empty(keep)
     for t in range(burn + keep):
         if t == burn:
-            adapt = adapt.freeze() if hasattr(adapt, "freeze") else adapt
+            adapt.frozen = True
         g, acc = mh_update_g(g, lambda _: 0.0, n, a, adapt, rng)
         if t >= burn:
             draws[t - burn] = g
