@@ -34,6 +34,7 @@ from .core import (
 )
 from .g_sampler import GAdaptState, hyper_g_over_n_ppf, mh_update_g
 from .latent import LatentAdaptState, update_all_latents
+from .likelihoods import loglik_value_grad
 from .linear_gaussian import SuffStatsCache, sample_alpha, sample_sigma2
 from .model_space import ModelPriorParams, model_mh_step
 
@@ -229,6 +230,8 @@ def run_chain(data: Dataset, prior: PriorConfig, config: ChainConfig) -> ChainOu
     )
 
     y, trials = data.y, data.trials
+    # Likelihood (value, gradient) at z, carried from sweep to sweep.
+    lik = loglik_value_grad(data.family, y, z, trials)
     acc_model = 0
     acc_g = 0
     acc_latent = 0.0
@@ -253,15 +256,11 @@ def run_chain(data: Dataset, prior: PriorConfig, config: ChainConfig) -> ChainOu
             sigma2 = sample_sigma2(s, M.p_k, n, g, rng)
         alpha = sample_alpha(s, n, sigma2, rng)
         beta_full[:] = 0.0
-        idx = M.indices
-        if idx.shape[0]:
-            beta_k = cache.sample_beta(M, sigma2, g, rng)
-            beta_full[idx] = beta_k
-            linpred = alpha + design.Xc[:, idx] @ beta_k
-        else:
-            linpred = np.full(n, alpha)
-        z, lat_accepted = update_all_latents(
-            z, y, trials, linpred, sigma2, data.family, adapt_z, rng
+        if M.p_k:
+            beta_full[M.indices] = cache.sample_beta(M, sigma2, g, rng)
+        linpred = alpha + design.Xc @ beta_full
+        z, lat_accepted, lik = update_all_latents(
+            z, lik, y, trials, linpred, sigma2, data.family, adapt_z, rng
         )
         acc_latent += lat_accepted.mean()
 

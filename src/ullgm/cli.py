@@ -264,6 +264,20 @@ def _write_fit_outputs(
     )
     files.append("centering.csv")
 
+    # Acceptance rates averaged over all iterations and chains; accept_g is
+    # nan when g is fixed.
+    path = os.path.join(out_dir, "diagnostics.csv")
+    _write_csv(
+        path,
+        ["stat", "value"],
+        [
+            ("accept_model", out.accept_model),
+            ("accept_g", out.accept_g),
+            ("accept_latent", out.accept_latent),
+        ],
+    )
+    files.append("diagnostics.csv")
+
     if save_draws:
         path = os.path.join(out_dir, "draws.csv")
         d = out.draws

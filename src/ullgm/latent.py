@@ -9,9 +9,19 @@ diminishing schedule and are frozen once burn-in ends.
 
 The conditionals are independent across i, so one sweep is evaluated as a
 single vectorized block; draws are indexed by observation within each sweep.
+
 A non-finite gradient (e.g. exp overflow far out in the tails) degrades the
 proposal to a symmetric random walk at that coordinate, keeping the kernel
 well defined everywhere.
+
+The likelihood half of the target, loglik_value_grad(z), depends on z, y
+and the trials only, not on (alpha, beta, sigma2). A sweep therefore takes
+its (value, gradient) at the current z as carried state, evaluates the
+likelihood once, at the proposal, and returns the pair at the accepted z
+for the next sweep; only the Gaussian term is recomputed at the current z.
+The carried pair is valid only for the y and trials it was computed with:
+re-evaluate it with loglik_value_grad whenever the outcomes or the trials
+change, and whenever z is set other than by a sweep.
 """
 
 from __future__ import annotations
@@ -19,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .core import FamilyTag
 from .likelihoods import loglik_value_grad, softplus
@@ -47,39 +56,51 @@ class LatentAdaptState:
             )
 
 
-def conditional_value_grad(family: FamilyTag, y, trials, z, linpred, sigma2):
-    """Log full conditional of z (up to constants) and its gradient."""
-    v, gr = loglik_value_grad(family, y, z, trials)
+def conditional_value_grad(lik, z, linpred, sigma2):
+    """Log full conditional of z (up to constants) and its gradient.
+
+    lik is the likelihood pair (value, gradient) at z from loglik_value_grad;
+    the Gaussian term N(z | linpred, sigma2) is added to it.
+    """
+    v, gr = lik
     resid = z - linpred
     return v - resid * resid / (2.0 * sigma2), gr - resid / sigma2
 
 
-def barker_step(z, step, value_and_grad, rng: np.random.Generator):
-    """One Barker update of the array z under an elementwise target.
+def barker_step(z, lik, step, linpred, sigma2, loglik, rng: np.random.Generator):
+    """One Barker update of the array z under loglik + log N(linpred, sigma2).
 
-    value_and_grad(z) must return (log target, gradient) arrays shaped like
-    z. Non-finite gradients are replaced by zero, which turns the proposal
-    into a symmetric random walk at those coordinates; the acceptance ratio
-    uses the same surrogate gradient at both endpoints, so the kernel stays
-    a valid Metropolis-Hastings step.
+    lik is loglik(z), the (value, gradient) pair carried from the previous
+    step; loglik is evaluated once, at the proposal. Returns the new z, the
+    accept mask and loglik at the new z. Non-finite gradients are replaced
+    by zero, which turns the proposal into a symmetric random walk at those
+    coordinates; the acceptance ratio uses the same surrogate gradient at
+    both endpoints, so the kernel stays a valid Metropolis-Hastings step.
     """
     n = z.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        v0, g0 = value_and_grad(z)
+        v0, g0 = conditional_value_grad(lik, z, linpred, sigma2)
         g0h = np.where(np.isfinite(g0), g0, 0.0)
         xi = step * rng.standard_normal(n)
         u_dir = rng.random(n)
-        d = np.where(u_dir < expit(xi * g0h), xi, -xi)
+        # The direction probability logistic(xi g0) and softplus(-d g0) share
+        # e: -d g0 is +-(xi g0) exactly, so its absolute value is |xi g0|.
+        a = xi * g0h
+        e = np.exp(-np.abs(a))
+        d = np.where(u_dir < np.where(a >= 0, 1.0, e) / (1.0 + e), xi, -xi)
         z_prop = z + d
-        v1, g1 = value_and_grad(z_prop)
+        lik1 = loglik(z_prop)
+        v1, g1 = conditional_value_grad(lik1, z_prop, linpred, sigma2)
         g1h = np.where(np.isfinite(g1), g1, 0.0)
-        log_acc = (v1 - v0) + softplus(-d * g0h) - softplus(d * g1h)
+        log_acc = (v1 - v0) + (np.maximum(-d * g0h, 0.0) + np.log1p(e)) - softplus(d * g1h)
         accepted = np.log(rng.random(n)) < log_acc  # NaN rejects
-    return np.where(accepted, z_prop, z), accepted
+    lik_out = (np.where(accepted, lik1[0], lik[0]), np.where(accepted, lik1[1], lik[1]))
+    return np.where(accepted, z_prop, z), accepted, lik_out
 
 
 def update_all_latents(
     z: np.ndarray,
+    lik: tuple[np.ndarray, np.ndarray],
     y: np.ndarray,
     trials: np.ndarray | None,
     linpred: np.ndarray,
@@ -87,13 +108,20 @@ def update_all_latents(
     family: FamilyTag,
     adapt: LatentAdaptState,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One full sweep over the latent vector; adapts step sizes in place."""
-    z_out, accepted = barker_step(
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """One full sweep over the latent vector; adapts step sizes in place.
+
+    lik is loglik_value_grad(family, y, z, trials); the sweep returns
+    (z, accept mask, lik at the new z).
+    """
+    z_out, accepted, lik_out = barker_step(
         z,
+        lik,
         np.exp(adapt.log_step),
-        lambda x: conditional_value_grad(family, y, trials, x, linpred, sigma2),
+        linpred,
+        sigma2,
+        lambda x: loglik_value_grad(family, y, x, trials),
         rng,
     )
     adapt.update(accepted)
-    return z_out, accepted
+    return z_out, accepted, lik_out

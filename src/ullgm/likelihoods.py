@@ -8,8 +8,9 @@ in z cheap and overflow-safe:
     bil:  ln C(N, y) + y z - N softplus(z)                (pi = logistic(z))
     nbl:  ln C(r+y-1, y) + r z - (r+y) softplus(z)        (pi = logistic(z))
 
-softplus is evaluated branch-free via logaddexp so |z| in the hundreds does
-not overflow.
+softplus and the logistic function are both built from e = exp(-|z|), so
+|z| in the hundreds does not overflow and the logit families pay for one
+exponential per element.
 """
 
 from __future__ import annotations
@@ -27,6 +28,18 @@ def softplus(z):
     # log(1 + e^z) without overflow; notably cheaper than logaddexp(0, z).
     z = np.asarray(z, dtype=np.float64)
     return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+
+
+def softplus_expit(z):
+    """softplus(z) and logistic(z) from one exp(-|z|); finite at every z.
+
+    logistic(z) = where(z >= 0, 1, e) / (1 + e) with e = exp(-|z|), which
+    agrees with scipy's expit to a few ulp and keeps the denormal tail that
+    expit rounds to 0 (logistic(-745) is 4.9e-324 here, 0 in scipy).
+    """
+    z = np.asarray(z, dtype=np.float64)
+    e = np.exp(-np.abs(z))
+    return np.maximum(z, 0.0) + np.log1p(e), np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _as_float_arrays(*xs):
@@ -64,19 +77,43 @@ def loglik_value_grad(family: FamilyTag, y, z, trials=None):
     """log f(y | z) without its z-free constants, and its z-gradient.
 
     Only differences in z matter inside the latent Metropolis step, so the
-    gammaln terms are dropped; log_pmf keeps them. The gradient is written
-    with expit so large |z| stays finite for the logit families; pln
-    overflows to -inf past z ~ 709, which the Barker step treats as a
-    signal to fall back to a symmetric walk.
+    gammaln terms are dropped; log_pmf keeps them. The logit families take
+    softplus and the logistic function from one exponential, so large |z|
+    stays finite; pln overflows to -inf past z ~ 709, which the Barker step
+    treats as a signal to fall back to a symmetric walk.
     """
     if family.name == "pln":
         ez = np.exp(z)
         return y * z - ez, y - ez
     if family.name == "bil":
-        return y * z - trials * softplus(z), y * expit(-z) - (trials - y) * expit(z)
+        sp, sig = softplus_expit(z)
+        return y * z - trials * sp, y - trials * sig
     if family.name == "nbl":
         r = float(family.r)
-        return r * z - (r + y) * softplus(z), r - (r + y) * expit(z)
+        sp, sig = softplus_expit(z)
+        return r * z - (r + y) * sp, r - (r + y) * sig
+    raise ValueError(family.name)  # pragma: no cover
+
+
+def loglik_grad_curvature(family: FamilyTag, y, z, trials=None):
+    """z-gradient and second z-derivative of log f(y | z).
+
+    The curvature is negative, so log f is concave in z: pln -e^z; bil
+    -N s(1 - s); nbl -(r + y) s(1 - s), with s = logistic(z). This serves
+    the predictive quadrature, whose arrays hold the few hundred draws of
+    one holdout point, where per-call cost outweighs per-element cost; so s
+    comes from one call to scipy's expit rather than from softplus_expit.
+    """
+    if family.name == "pln":
+        ez = np.exp(z)
+        return y - ez, -ez
+    sig = expit(z)
+    w = sig * (1.0 - sig)
+    if family.name == "bil":
+        return y - trials * sig, -trials * w
+    if family.name == "nbl":
+        r = float(family.r)
+        return r - (r + y) * sig, -(r + y) * w
     raise ValueError(family.name)  # pragma: no cover
 
 

@@ -6,8 +6,10 @@ For one holdout point the per-draw predictive probability is
 
 a one-dimensional integral evaluated with fixed-order Gauss-Legendre
 quadrature on an interval centered at a Gaussian approximation to the
-integrand: m +- 6 sqrt(s), where (m, s) come from matching the likelihood
-curvature at a data-driven anchor against the N(linpred, sigma2) prior.
+integrand: m +- 6 sqrt(s). m starts from matching the likelihood curvature
+at a data-driven anchor against the N(linpred, sigma2) prior and is moved
+to the integrand's mode by Newton steps on its logarithm; s is minus the
+inverse curvature of that logarithm where the last step began.
 
 The nodes of all draws form one node-major (order, S) grid, so each
 reduction runs over contiguous rows. The log integrand is built in place in
@@ -31,12 +33,16 @@ from scipy.special import roots_legendre
 
 from .chain import DrawStore
 from .core import Dataset, FamilyTag
-from .likelihoods import log_pmf
+from .likelihoods import log_pmf, loglik_grad_curvature
 
 QUAD_ORDER = 64
 PMF_FLOOR = 1e-300
 LOG_PMF_FLOOR = float(np.log(PMF_FLOOR))
 HALF_WIDTH_SDS = 6.0
+# Newton steps from the curvature-matched guess towards the integrand's mode
+# stop once no draw's step exceeds NEWTON_TOL_SDS posterior sds.
+NEWTON_TOL_SDS = 0.25
+NEWTON_MAX_STEPS = 6
 
 
 @dataclass(frozen=True)
@@ -48,11 +54,19 @@ class ZApproxMoments:
 
 
 def approx_z_moments(y, trials, linpred, sigma2, family: FamilyTag) -> ZApproxMoments:
-    """Precision-weighted combination of a likelihood anchor and the prior.
+    """Gaussian approximation to f(y | z) N(z | linpred, sigma2) at its mode.
 
-    pln anchors at log y (with y=0 nudged to 0.5, precision y'); the logit
-    families anchor at logit(p_hat) with binomial curvature N p(1-p); nbl is
-    folded into the bil form with N' = y + r and p_hat = r / (y + r).
+    The start is a precision-weighted combination of a likelihood anchor and
+    the prior: pln anchors at log y (with y=0 nudged to 0.5, precision y');
+    the logit families anchor at logit(p_hat) with binomial curvature
+    N p(1-p); nbl is folded into the bil form with N' = y + r and
+    p_hat = r / (y + r). Where data and prior disagree that start can sit
+    many sds from the mode, so Newton steps on the log integrand, which is
+    concave in z, re-centre it until the last step is below NEWTON_TOL_SDS
+    sds for every draw. Newton converges quadratically, so the centre is
+    then much closer than that to the mode; the variance is minus the
+    inverse curvature where the last step began. Where a step or that
+    curvature is not finite (exp overflow), the start is kept.
     """
     linpred = np.asarray(linpred, dtype=np.float64)
     s2 = np.asarray(sigma2, dtype=np.float64)
@@ -74,6 +88,21 @@ def approx_z_moments(y, trials, linpred, sigma2, family: FamilyTag) -> ZApproxMo
         anchor = np.log(p_hat) - np.log1p(-p_hat)
     s = 1.0 / (lik_prec + prior_prec)
     m = s * (anchor * lik_prec + linpred * prior_prec)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m_start = m
+        for _ in range(NEWTON_MAX_STEPS):
+            grad, curv = loglik_grad_curvature(family, y, m, trials)
+            prec = prior_prec - curv
+            step = (grad - (m - linpred) * prior_prec) / prec
+            m = m + step
+            if not (step * step * prec).max() > NEWTON_TOL_SDS**2:  # NaN stops too
+                break
+        ok = np.isfinite(m) & np.isfinite(prec)
+        if ok.all():
+            s = 1.0 / prec
+        else:
+            m = np.where(ok, m, m_start)
+            s = np.where(ok, 1.0 / prec, s)
     return ZApproxMoments(m=m, s=s)
 
 

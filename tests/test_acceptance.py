@@ -397,7 +397,10 @@ def test_criterion_9_cli_determinism(tmp_path):
 
     run_fit(tmp_path / "f1")
     run_fit(tmp_path / "f2")
-    names = ["summary.csv", "scalars.csv", "top_models.csv", "centering.csv", "draws.csv"]
+    names = [
+        "summary.csv", "scalars.csv", "top_models.csv", "centering.csv", "draws.csv",
+        "diagnostics.csv",
+    ]
     for name in names:
         a = (tmp_path / "f1" / name).read_bytes()
         b = (tmp_path / "f2" / name).read_bytes()

@@ -18,6 +18,7 @@ from ullgm.core import (
     nbl,
 )
 from ullgm.latent import LatentAdaptState, update_all_latents
+from ullgm.likelihoods import loglik_value_grad
 from ullgm.linear_gaussian import SuffStatsCache
 from ullgm.model_space import ModelPriorParams, log_model_prior, model_mh_step
 
@@ -270,7 +271,9 @@ def test_joint_distribution_forward_vs_gibbs():
         cache.set_z(z)
         beta = cache.sample_beta(M, sigma2_0, g0, rng)
         lin = alpha0 + (Xc[:, M.indices] @ beta if M.p_k else np.zeros(n))
-        z, _ = update_all_latents(z, y, None, lin, sigma2_0, PLN, adapt, rng)
+        # y was just redrawn, so the likelihood at z is evaluated afresh
+        lik = loglik_value_grad(PLN, y, z)
+        z, _, _ = update_all_latents(z, lik, y, None, lin, sigma2_0, PLN, adapt, rng)
         if t >= burn:
             gbs_size[t - burn] = M.p_k
             gbs_incl0[t - burn] = M.included[0]

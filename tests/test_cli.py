@@ -48,6 +48,11 @@ def test_fit_writes_expected_files(tmp_path):
     assert main(_fit_args(inp, out)) == EXIT_OK
     for name in ("summary.csv", "scalars.csv", "top_models.csv", "centering.csv", "manifest.json"):
         assert (out / name).exists(), name
+    header, rows = _read_csv(out / "diagnostics.csv")
+    assert header == ["stat", "value"]
+    stats = {r[0]: float(r[1]) for r in rows}
+    assert set(stats) == {"accept_model", "accept_g", "accept_latent"}
+    assert 0.0 < stats["accept_latent"] < 1.0 and 0.0 <= stats["accept_model"] <= 1.0
     header, rows = _read_csv(out / "summary.csv")
     assert header == ["covariate", "pip", "beta_mean", "beta_sd"]
     assert [r[0] for r in rows] == ["x0", "x1", "x2", "x3"]
@@ -60,6 +65,7 @@ def test_fit_writes_expected_files(tmp_path):
     assert man["dataset"]["rows"] == 80
     assert man["config"]["family"] == "pln"
     assert "seconds" in man
+    assert "diagnostics.csv" in man["outputs"]
 
 
 def test_fit_outputs_reproducible(tmp_path):

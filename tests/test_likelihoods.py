@@ -12,6 +12,7 @@ from ullgm.likelihoods import (
     loglik_value_grad,
     pln_moments,
     softplus,
+    softplus_expit,
 )
 
 
@@ -135,6 +136,19 @@ def test_bil_complement_symmetry(y, N, z):
 def test_softplus_matches_reference():
     z = np.array([-800.0, -30.0, -1.0, 0.0, 1.0, 30.0, 800.0])
     np.testing.assert_allclose(softplus(z), np.logaddexp(0.0, z), rtol=1e-15)
+
+
+def test_fused_softplus_expit_edges():
+    z = np.array([-1000.0, -745.0, -40.0, -1e-300, 0.0, 1e-300, 40.0, 745.0, 1000.0])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):  # underflow is fine
+        sp, sig = softplus_expit(z)
+    assert np.all(np.isfinite(sp)) and np.all(np.isfinite(sig))
+    np.testing.assert_allclose(sp, np.logaddexp(0.0, z), rtol=1e-15)
+    # scipy flushes expit(-745) to 0 where exp(-745) is the denormal 4.9e-324,
+    # so below the smallest normal double only the absolute gap is checked
+    np.testing.assert_allclose(sig, expit(z), rtol=1e-15, atol=np.finfo(float).tiny)
+    assert sig[1] > 0.0 and sig[0] == 0.0 and sig[-1] == 1.0
+    np.testing.assert_array_equal(sp, softplus(z))
 
 
 def test_pln_moments_known_values():

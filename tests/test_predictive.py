@@ -270,6 +270,15 @@ def test_quadrature_matches_adaptive_integration():
                 )
 
 
+def test_quadrature_recentres_where_data_and_prior_disagree():
+    # The curvature-matched guess alone put the window many sds from the
+    # integrand's mode here: 14.8 nats low at y = 60, 0.006 nats at y = 8.
+    for y, lin, s2 in ((60.0, -2.0, 0.05), (8.0, -1.0, 0.1)):
+        got = np.exp(log_predictive_draws(y, None, np.array([lin]), np.array([s2]), PLN))[0]
+        want = _quad_predictive(y, None, lin, s2, PLN)
+        np.testing.assert_allclose(got, want, rtol=1e-6, err_msg=f"y={y}")
+
+
 def test_impossible_and_overflowing_rows_hit_the_floor():
     # bil with more successes than trials: log f is -inf at every node.
     rng = np.random.default_rng(5)

@@ -31,3 +31,13 @@ def _load(name):
 def test_script_main_returns_zero(name, argv, capsys):
     assert _load(name).main(argv) == 0
     assert capsys.readouterr().out
+
+
+def test_draws_digest_prints_one_repeatable_line(capsys):
+    argv = ["--seed", "3", "--workload", "nbl-n500-p100-predict-k2", "--dataset", "0"]
+    digest = _load("draws_digest")
+    assert digest.main(argv) == 0
+    first = capsys.readouterr().out.split()
+    assert first[:2] == ["nbl-n500-p100-predict-k2", "0"] and len(first[2]) == 64
+    assert digest.main(argv) == 0
+    assert capsys.readouterr().out.split() == first
