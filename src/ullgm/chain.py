@@ -22,6 +22,7 @@ import numpy as np
 
 from .core import (
     Dataset,
+    DegenerateZ,
     FixedG,
     GaussianLayerState,
     HyperGOverN,
@@ -241,10 +242,15 @@ def run_chain(data: Dataset, prior: PriorConfig, config: ChainConfig) -> ChainOu
             adapt_z.frozen = True
             adapt_g.frozen = True
 
-        cache.set_z(z)
+        try:
+            cache.set_z(z)
+        except DegenerateZ as exc:
+            raise DegenerateZ(f"{exc} (model move, iteration {t})") from exc
         M, accepted = model_mh_step(
-            M, lambda Mi: cache.log_marginal(Mi, g), cache.has_full_rank, params, rng
+            M, lambda drop, add: cache.move_log_marginal(drop, add, g), params, rng
         )
+        if accepted:
+            cache.chol(M)  # hold the accepted model
         acc_model += accepted
         s = cache.light_stats(M)
         if hyper:

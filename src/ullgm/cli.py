@@ -264,8 +264,9 @@ def _write_fit_outputs(
     )
     files.append("centering.csv")
 
-    # Acceptance rates averaged over all iterations and chains; accept_g is
-    # nan when g is fixed.
+    # Acceptance rates averaged over all iterations and chains (accept_g is
+    # nan when g is fixed), and the number of distinct inclusion patterns
+    # among the kept draws.
     path = os.path.join(out_dir, "diagnostics.csv")
     _write_csv(
         path,
@@ -274,6 +275,7 @@ def _write_fit_outputs(
             ("accept_model", out.accept_model),
             ("accept_g", out.accept_g),
             ("accept_latent", out.accept_latent),
+            ("distinct_models", len(out.top_models)),
         ],
     )
     files.append("diagnostics.csv")

@@ -204,6 +204,10 @@ class ModelIndicator:
         return np.flatnonzero(self.included)
 
     @cached_property
+    def excluded(self) -> np.ndarray:
+        return np.flatnonzero(~self.included)
+
+    @cached_property
     def key(self) -> bytes:
         return self.included.tobytes()
 
@@ -221,20 +225,15 @@ class ModelIndicator:
         inc[np.asarray(idx, dtype=int)] = True
         return ModelIndicator(inc)
 
-    def with_added(self, j: int) -> "ModelIndicator":
+    def with_move(self, drop: int | None, add: int | None) -> "ModelIndicator":
+        """This model with covariate `drop` removed and `add` included; None
+        stands for no covariate, so (None, j) adds j, (j, None) deletes j and
+        (j, i) swaps j for i."""
         inc = self.included.copy()
-        inc[j] = True
-        return ModelIndicator(inc)
-
-    def with_removed(self, j: int) -> "ModelIndicator":
-        inc = self.included.copy()
-        inc[j] = False
-        return ModelIndicator(inc)
-
-    def with_swapped(self, j_out: int, j_in: int) -> "ModelIndicator":
-        inc = self.included.copy()
-        inc[j_out] = False
-        inc[j_in] = True
+        if drop is not None:
+            inc[drop] = False
+        if add is not None:
+            inc[add] = True
         return ModelIndicator(inc)
 
     def bits(self) -> str:

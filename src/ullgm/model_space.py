@@ -10,7 +10,7 @@ enumeration, which keeps the move kernel simple.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import gammaln
@@ -56,11 +56,19 @@ def log_model_prior(M: ModelIndicator, params: ModelPriorParams, rankflag: bool)
     return params._size_logp[M.p_k]
 
 
-@dataclass(frozen=True)
-class AdsProposal:
-    proposed: ModelIndicator
-    move: str  # "add" | "delete" | "swap"
+class AdsProposal(NamedTuple):
+    """One add/delete/swap move: covariate `drop` leaves the model and `add`
+    enters it, None where the move has no such covariate."""
+
+    drop: int | None
+    add: int | None
     log_correction: float
+
+    @property
+    def move(self) -> str:
+        if self.drop is None:
+            return "add"
+        return "delete" if self.add is None else "swap"
 
 
 def _log_move_prob(kind: str, p_k: int, p: int) -> float:
@@ -88,54 +96,54 @@ def propose_ads(M: ModelIndicator, rng: np.random.Generator) -> AdsProposal:
         move = ("add", "delete", "swap")[rng.integers(3)]
 
     if move == "add":
-        out_idx = np.flatnonzero(~M.included)
-        j = out_idx[rng.integers(out_idx.shape[0])]
-        proposed = M.with_added(j)
+        out_idx = M.excluded
+        j = int(out_idx[rng.integers(out_idx.shape[0])])
         log_fwd = _log_move_prob("add", p_k, p) - np.log(p - p_k)
         log_rev = _log_move_prob("delete", p_k + 1, p) - np.log(p_k + 1)
-        return AdsProposal(proposed, "add", log_rev - log_fwd)
+        return AdsProposal(None, j, log_rev - log_fwd)
     if move == "delete":
         in_idx = M.indices
-        j = in_idx[rng.integers(in_idx.shape[0])]
-        proposed = M.with_removed(j)
+        j = int(in_idx[rng.integers(in_idx.shape[0])])
         log_fwd = _log_move_prob("delete", p_k, p) - np.log(p_k)
         log_rev = _log_move_prob("add", p_k - 1, p) - np.log(p - p_k + 1)
-        return AdsProposal(proposed, "delete", log_rev - log_fwd)
+        return AdsProposal(j, None, log_rev - log_fwd)
     # swap: size unchanged, uniform over included x excluded pairs both ways
     in_idx = M.indices
-    out_idx = np.flatnonzero(~M.included)
-    j_out = in_idx[rng.integers(in_idx.shape[0])]
-    j_in = out_idx[rng.integers(out_idx.shape[0])]
-    return AdsProposal(M.with_swapped(j_out, j_in), "swap", 0.0)
+    out_idx = M.excluded
+    j_out = int(in_idx[rng.integers(in_idx.shape[0])])
+    j_in = int(out_idx[rng.integers(out_idx.shape[0])])
+    return AdsProposal(j_out, j_in, 0.0)
 
 
 def model_mh_step(
     M: ModelIndicator,
-    log_marginal: Callable[[ModelIndicator], float],
-    full_rank: Callable[[ModelIndicator], bool],
+    log_marginal: Callable[[int | None, int | None], float],
     params: ModelPriorParams,
     rng: np.random.Generator,
 ) -> tuple[ModelIndicator, bool]:
     """One Metropolis step over models.
 
-    The acceptance ratio combines log_marginal (the marginal likelihood of
-    the current latent vector; a flat one turns the kernel into a prior
-    sampler), the model prior, zero for models full_rank rejects, and the
-    add/delete Hastings correction.
+    log_marginal(drop, add) is the log marginal likelihood of the current
+    latent vector under M with covariate `drop` removed and `add` included
+    (None for neither, so log_marginal(None, None) is M's own), and -inf
+    where that model is rank-deficient, whose prior mass is zero. A flat
+    one turns the kernel into a prior sampler. The acceptance ratio adds
+    the model prior and the add/delete Hastings correction. The proposed
+    model is built only when it is accepted.
     """
-    prop = propose_ads(M, rng)
-    M_new = prop.proposed
-    lp_new = log_model_prior(M_new, params, full_rank(M_new))
-    if lp_new == -np.inf:
+    drop, add, log_correction = propose_ads(M, rng)
+    lm_new = log_marginal(drop, add)
+    if lm_new == -np.inf:
         return M, False
-    lp_old = log_model_prior(M, params, True)
+    size_logp = params._size_logp
+    p_new = M.p_k + (add is not None) - (drop is not None)
     log_ratio = (
-        lp_new
-        - lp_old
-        + log_marginal(M_new)
-        - log_marginal(M)
-        + prop.log_correction
+        size_logp[p_new]
+        - size_logp[M.p_k]
+        + lm_new
+        - log_marginal(None, None)
+        + log_correction
     )
     if log_ratio >= 0.0 or np.log(rng.random()) < log_ratio:
-        return M_new, True
+        return M.with_move(drop, add), True
     return M, False

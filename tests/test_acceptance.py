@@ -67,12 +67,14 @@ def test_criterion_1_model_step_matches_exact_enumeration():
 
     cache = SuffStatsCache(design)
     cache.set_z(z)
-    log_marg = lambda Mi: cache.log_marginal(Mi, g)
+    log_marg = lambda drop, add: cache.move_log_marginal(drop, add, g)
     M = ModelIndicator.null(p)
     freq = dict.fromkeys(keys, 0)
     steps = 500_000
     for _ in range(steps):
-        M, _ = model_mh_step(M, log_marg, cache.has_full_rank, params, rng)
+        M, accepted = model_mh_step(M, log_marg, params, rng)
+        if accepted:
+            cache.chol(M)
         freq[M.key] += 1
     tv = 0.5 * sum(abs(freq[k] / steps - target[k]) for k in keys)
     elapsed = time.monotonic() - t0
@@ -186,7 +188,7 @@ def test_criterion_4a_ads_prior_stationarity():
     hist = np.zeros(p + 1)
     steps = 1_200_000
     for _ in range(steps):
-        M, _ = model_mh_step(M, lambda Mi: 0.0, lambda Mi: True, params, rng)
+        M, _ = model_mh_step(M, lambda drop, add: 0.0, params, rng)
         hist[M.p_k] += 1
     tv = 0.5 * np.abs(hist / steps - target).sum()
     assert tv < 0.02, tv

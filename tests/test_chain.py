@@ -1,13 +1,17 @@
 """Full Gibbs loop: wiring, determinism, and joint-distribution checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from ullgm import chain as chain_module
 from ullgm.chain import ChainConfig, DrawStore, init_chain, run_chain, run_chains
 from ullgm.core import (
     BIL,
     Dataset,
+    DegenerateZ,
     FixedG,
     HyperGOverN,
     ModelIndicator,
@@ -266,7 +270,7 @@ def test_joint_distribution_forward_vs_gibbs():
         y = rng.poisson(np.exp(np.clip(z, None, 30.0))).astype(float)
         for _ in range(3):
             M, _ = model_mh_step(
-                M, lambda Mi: cond_log_marginal(Mi, z), lambda Mi: True, params, rng
+                M, lambda drop, add: cond_log_marginal(M.with_move(drop, add), z), params, rng
             )
         cache.set_z(z)
         beta = cache.sample_beta(M, sigma2_0, g0, rng)
@@ -319,3 +323,41 @@ def test_summarize_top_models_and_sizes():
     )
     assert top_freq == want / kept
     assert len(top_bits) == p and set(top_bits) <= {"0", "1"}
+
+
+def test_chain_never_keeps_both_copies_of_a_duplicated_column():
+    base = _dataset(n=60, p=5, seed=21)
+    data = Dataset(y=base.y, X=np.column_stack([base.X, base.X[:, 0]]), family=PLN)
+    out = run_chain(data, _prior(data), ChainConfig(n_iter=2000, seed=4))
+    included = out.draws.included
+    assert not np.any(included[:, 0] & included[:, 5])
+    # the signal column is nearly always in, so adding its copy is proposed often
+    assert np.mean(included[:, 0] | included[:, 5]) > 0.9
+
+
+def test_memory_stays_flat_over_iterations():
+    # no state accumulates per visited model: the traced peak of a chain
+    # four times longer grows only by its larger draw store
+    data = _dataset(n=150, p=40, seed=11, family=nbl(2))
+    prior = _prior(data)
+
+    def peak(n_iter):
+        tracemalloc.start()
+        try:
+            run_chain(data, prior, ChainConfig(n_iter=n_iter, seed=3, store_beta=False))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    growth = peak(4000) - peak(1000)
+    assert growth < 512 * 1024, growth
+
+
+def test_constant_latent_vector_names_the_stage_and_iteration(monkeypatch):
+    def constant_sweep(z, lik, *args):
+        return np.full_like(z, 0.25), np.ones(z.shape[0], dtype=bool), lik
+
+    monkeypatch.setattr(chain_module, "update_all_latents", constant_sweep)
+    data = _dataset()
+    with pytest.raises(DegenerateZ, match=r"\(model move, iteration 1\)$"):
+        run_chain(data, _prior(data), ChainConfig(n_iter=5, seed=0))

@@ -51,8 +51,11 @@ def test_fit_writes_expected_files(tmp_path):
     header, rows = _read_csv(out / "diagnostics.csv")
     assert header == ["stat", "value"]
     stats = {r[0]: float(r[1]) for r in rows}
-    assert set(stats) == {"accept_model", "accept_g", "accept_latent"}
+    assert set(stats) == {"accept_model", "accept_g", "accept_latent", "distinct_models"}
     assert 0.0 < stats["accept_latent"] < 1.0 and 0.0 <= stats["accept_model"] <= 1.0
+    # with four covariates every visited pattern fits in top_models.csv
+    _, top_rows = _read_csv(out / "top_models.csv")
+    assert stats["distinct_models"] == len(top_rows) and 1 <= len(top_rows) <= 16
     header, rows = _read_csv(out / "summary.csv")
     assert header == ["covariate", "pip", "beta_mean", "beta_sd"]
     assert [r[0] for r in rows] == ["x0", "x1", "x2", "x3"]

@@ -151,8 +151,9 @@ def test_rank_ok_invariant_to_included_order():
 def test_model_indicator_moves():
     M = ModelIndicator.from_indices(5, [1, 3])
     assert M.p_k == 2 and M.p == 5
-    assert M.with_added(0).p_k == 3
-    assert M.with_removed(3).p_k == 1
-    swapped = M.with_swapped(1, 4)
+    assert M.with_move(None, 0).p_k == 3
+    assert M.with_move(3, None).p_k == 1
+    swapped = M.with_move(1, 4)
     assert swapped.p_k == 2 and list(swapped.indices) == [3, 4]
+    assert list(M.excluded) == [0, 2, 4]
     assert M.bits() == "01010"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ullgm.core import DegenerateZ, ModelIndicator, center_design
+from ullgm.core import DegenerateZ, ModelIndicator, center_design, rank_ok
 from ullgm.linear_gaussian import (
     SuffStatsCache,
     log_marginal,
@@ -111,6 +111,52 @@ def test_cache_matches_direct_suff_stats():
             log_marginal(s.r2, s.tss, M.p_k, 25, g),
             rtol=1e-10,
         )
+    # every add, delete and swap neighbour of held models from the null to
+    # the full one, answered from the held state without re-anchoring
+    for held in ([], [1], [0, 3, 4], [0, 2, 3, 5, 1], list(range(6))):
+        H = ModelIndicator.from_indices(6, held)
+        assert cache.chol(H) is not None
+        for drop in [None, *H.indices.tolist()]:
+            for add in [None, *H.excluded.tolist()]:
+                N = H.with_move(drop, add)
+                s = suff_stats(z, N, design)
+                want = log_marginal(s.r2, s.tss, N.p_k, 25, g)
+                np.testing.assert_allclose(cache.r2(N), s.r2, rtol=1e-10, atol=1e-12)
+                np.testing.assert_allclose(cache.log_marginal(N, g), want, rtol=1e-10)
+                np.testing.assert_allclose(
+                    cache.move_log_marginal(drop, add, g), want, rtol=1e-10
+                )
+                assert cache.held is H
+
+
+def test_neighbour_rank_verdicts_match_rank_ok():
+    rng = np.random.default_rng(12)
+    X_dup = rng.normal(size=(30, 6))
+    X_dup[:, 5] = X_dup[:, 2]
+    # n = 7: held models of size 5 = n - 2 and 6 = n - 1, whose adds reach n
+    X_short = rng.normal(size=(7, 9))
+    cases = (
+        (X_dup, ([], [2], [5], [0, 2, 4], [0, 1, 3, 4, 5])),
+        (X_short, ([0, 1, 2, 3, 4], [1, 3, 5, 7, 8], [0, 1, 2, 3, 4, 5])),
+    )
+    verdicts = set()
+    for X, helds in cases:
+        design = center_design(X)
+        n, p = X.shape
+        cache = SuffStatsCache(design)
+        cache.set_z(rng.normal(size=n))
+        for held in helds:
+            H = ModelIndicator.from_indices(p, held)
+            assert cache.chol(H) is not None
+            for drop in [None, *H.indices.tolist()]:
+                for add in [None, *H.excluded.tolist()]:
+                    N = H.with_move(drop, add)
+                    want = rank_ok(N, design.Xc)
+                    assert cache.has_full_rank(N) == want, (held, drop, add)
+                    assert (cache.move_log_marginal(drop, add, 10.0) > -np.inf) == want
+                    assert cache.held is H
+                    verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def test_cache_refreshes_after_set_z():

@@ -96,7 +96,7 @@ def test_swap_correction_is_zero():
         seen.add(prop.move)
         if prop.move == "swap":
             assert prop.log_correction == 0.0
-            assert prop.proposed.p_k == 2
+            assert M.with_move(prop.drop, prop.add).p_k == 2
     assert seen == {"add", "delete", "swap"}
 
 
@@ -105,15 +105,17 @@ def test_moves_change_exactly_the_right_bits():
     M = ModelIndicator.from_indices(8, [0, 3, 6])
     for _ in range(300):
         prop = propose_ads(M, rng)
-        diff = np.flatnonzero(prop.proposed.included != M.included)
+        proposed = M.with_move(prop.drop, prop.add)
+        diff = np.flatnonzero(proposed.included != M.included)
         if prop.move == "add":
-            assert prop.proposed.p_k == 4 and len(diff) == 1
-            assert not M.included[diff[0]]
+            assert proposed.p_k == 4 and len(diff) == 1
+            assert not M.included[diff[0]] and diff[0] == prop.add
         elif prop.move == "delete":
-            assert prop.proposed.p_k == 2 and len(diff) == 1
-            assert M.included[diff[0]]
+            assert proposed.p_k == 2 and len(diff) == 1
+            assert M.included[diff[0]] and diff[0] == prop.drop
         else:
-            assert prop.proposed.p_k == 3 and len(diff) == 2
+            assert proposed.p_k == 3 and len(diff) == 2
+            assert M.included[prop.drop] and not M.included[prop.add]
 
 
 @settings(max_examples=60, deadline=None)
@@ -130,10 +132,11 @@ def test_ads_correction_antisymmetry(p, data):
     if prop.move == "swap":
         np.testing.assert_allclose(prop.log_correction, 0.0, atol=1e-14)
         return
+    proposed = M.with_move(prop.drop, prop.add)
     back = None
     for _ in range(2000):
-        cand = propose_ads(prop.proposed, rng)
-        if np.array_equal(cand.proposed.included, M.included):
+        cand = propose_ads(proposed, rng)
+        if np.array_equal(proposed.with_move(cand.drop, cand.add).included, M.included):
             back = cand
             break
     assert back is not None
@@ -151,7 +154,7 @@ def test_chain_on_prior_reaches_beta_binomial_sizes():
     counts = np.zeros(p + 1)
     steps = 200_000
     for _ in range(steps):
-        M, _ = model_mh_step(M, lambda M_: 0.0, lambda M_: True, params, rng)
+        M, _ = model_mh_step(M, lambda drop, add: 0.0, params, rng)
         counts[M.p_k] += 1
     _, per_model, ncomb = _prior_pmf_by_size(p, m)
     target = per_model * ncomb
@@ -189,11 +192,13 @@ def test_model_step_targets_enumerated_posterior():
     cache = SuffStatsCache(design)
     cache.set_z(z)
     M = ModelIndicator.null(p)
-    log_marg = lambda Mi: cache.log_marginal(Mi, g)
+    log_marg = lambda drop, add: cache.move_log_marginal(drop, add, g)
     freq = {k: 0 for k in target}
     steps = 100_000
     for _ in range(steps):
-        M, _ = model_mh_step(M, log_marg, cache.has_full_rank, params, rng)
+        M, accepted = model_mh_step(M, log_marg, params, rng)
+        if accepted:
+            cache.chol(M)
         freq[M.key] += 1
     tv = 0.5 * sum(abs(freq[k] / steps - target[k]) for k in target)
     assert tv < 0.02, tv
