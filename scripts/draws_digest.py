@@ -11,11 +11,16 @@ samplers draw byte-identical alpha, sigma2, g, inclusion and beta chains.
 ullgm and perfbench are imported from the checkout that holds this script.
 
 A change that keeps the random stream but moves the floats changes every
-digest. --save DIR writes each fit's draws to DIR; --against DIR, run in
-the other checkout, adds to each line whether the inclusion chains are
-equal and the largest absolute difference in alpha, sigma2, g and beta:
+digest. --save DIR writes each fit's draws, and the per-point log
+predictive scores of its holdout (ullgm.per_point_log_predictive), to DIR;
+--against DIR, run in the other checkout, adds to each line whether the
+inclusion chains are equal and the largest absolute difference in alpha,
+sigma2, g, beta and the holdout scores:
 
-    <workload> <index> <digest> included=same alpha=<max |d|> sigma2=... g=... beta=...
+    <workload> <index> <digest> included=same alpha=<max |d|> sigma2=... g=... beta=... logp=...
+
+A change to the predictive rule alone keeps the digests and moves only logp;
+logp=nan when DIR holds no scores.
 
 Usage:
     python scripts/draws_digest.py --seed 9001 [--workload NAME] [--dataset I]
@@ -29,15 +34,17 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-FIELDS = ("alpha", "sigma2", "g", "beta")
+FIELDS = ("alpha", "sigma2", "g", "beta")  # draw chains; "logp" holds the holdout scores
 
 
-def compare(draws, saved) -> str:
-    """included=same|differs, then the max |difference| of each FIELDS chain."""
-    words = ["included=" + ("same" if np.array_equal(draws.included, saved["included"]) else "differs")]
-    for name in FIELDS:
-        a, b = getattr(draws, name), saved[name]
-        diff = float(np.max(np.abs(a - b))) if a.shape == b.shape else float("nan")
+def compare(arrays, saved) -> str:
+    """included=same|differs, then the max |difference| of each draw chain and of logp."""
+    same = np.array_equal(arrays["included"], saved["included"])
+    words = ["included=" + ("same" if same else "differs")]
+    for name in (*FIELDS, "logp"):
+        a = arrays[name]
+        b = saved[name] if name in saved.files else None  # scores absent from older saves
+        diff = float(np.max(np.abs(a - b))) if b is not None and a.shape == b.shape else float("nan")
         words.append(f"{name}={diff:.3g}")
     return " ".join(words)
 
@@ -56,7 +63,9 @@ def main(argv=None) -> int:
     ap.add_argument(
         "--dataset", type=int, choices=range(DATASETS), help="data set index; default: all"
     )
-    ap.add_argument("--save", type=Path, metavar="DIR", help="write each fit's draws to DIR")
+    ap.add_argument(
+        "--save", type=Path, metavar="DIR", help="write each fit's draws and holdout scores to DIR"
+    )
     ap.add_argument(
         "--against", type=Path, metavar="DIR", help="compare each fit with draws saved in DIR"
     )
@@ -76,12 +85,15 @@ def main(argv=None) -> int:
             d = out.draws
             words = [name, str(index), draws_digest(d)]
             file = f"{name}-seed{args.seed}-{index}.npz"
+            if args.save is not None or args.against is not None:
+                logp, _ = ullgm.per_point_log_predictive(c.holdout, d, out.col_means)
+                arrays = {"included": d.included, "logp": logp, **{f: getattr(d, f) for f in FIELDS}}
             if args.save is not None:
-                np.savez(args.save / file, included=d.included, **{f: getattr(d, f) for f in FIELDS})
+                np.savez(args.save / file, **arrays)
             if args.against is not None:
                 try:
                     with np.load(args.against / file) as saved:
-                        words.append(compare(d, saved))
+                        words.append(compare(arrays, saved))
                 except FileNotFoundError:
                     print(f"no saved draws {args.against / file}", file=sys.stderr)
                     return 2

@@ -32,6 +32,7 @@ from .core import (
     nbl,
     validate_dataset,
 )
+from .diagnostics import pooled_ess
 from .predictive import per_point_log_predictive
 from .simulation import MetricsReport, SimConfig, gen_dataset, metrics
 
@@ -224,6 +225,7 @@ def _write_fit_outputs(
     shift: np.ndarray,
     scale: np.ndarray,
     save_draws: bool,
+    chains: int,
 ) -> list[str]:
     files = []
 
@@ -265,8 +267,11 @@ def _write_fit_outputs(
     files.append("centering.csv")
 
     # Acceptance rates averaged over all iterations and chains (accept_g is
-    # nan when g is fixed), and the number of distinct inclusion patterns
-    # among the kept draws.
+    # nan when g is fixed), the number of distinct inclusion patterns among
+    # the kept draws, and effective sample sizes summed over chains (ess_log_g
+    # is nan when g is fixed).
+    d = out.draws
+    fixed_g = np.isnan(out.accept_g)
     path = os.path.join(out_dir, "diagnostics.csv")
     _write_csv(
         path,
@@ -276,13 +281,16 @@ def _write_fit_outputs(
             ("accept_g", out.accept_g),
             ("accept_latent", out.accept_latent),
             ("distinct_models", len(out.top_models)),
+            ("ess_alpha", pooled_ess(d.alpha, chains)),
+            ("ess_sigma2", pooled_ess(d.sigma2, chains)),
+            ("ess_log_g", np.nan if fixed_g else pooled_ess(np.log(d.g), chains)),
+            ("ess_model_size", pooled_ess(d.included.sum(axis=1), chains)),
         ],
     )
     files.append("diagnostics.csv")
 
     if save_draws:
         path = os.path.join(out_dir, "draws.csv")
-        d = out.draws
         header = ["alpha", "sigma2", "g"] + [f"beta_{c}" for c in names]
         body = np.column_stack([d.alpha, d.sigma2, d.g, d.beta])
         _write_csv(path, header, body)
@@ -302,7 +310,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
     out = run_chains(data, prior, config, args.chains)
 
     os.makedirs(args.out_dir, exist_ok=True)
-    files = _write_fit_outputs(args.out_dir, names, out, shift, scale, args.save_draws)
+    files = _write_fit_outputs(
+        args.out_dir, names, out, shift, scale, args.save_draws, args.chains
+    )
     manifest = RunManifest(
         command="fit",
         config=_config_echo(args),

@@ -46,30 +46,48 @@ def _as_float_arrays(*xs):
     return [np.asarray(x, dtype=np.float64) for x in xs]
 
 
+def _broadcast_z(z, *others):
+    """z broadcast to its full shape against the others, for in-place work."""
+    shape = np.broadcast(z, *others).shape
+    return z if z.shape == shape else np.broadcast_to(z, shape)
+
+
 def _maybe_scalar(a: np.ndarray):
     return float(a) if a.ndim == 0 else a
 
 
 def log_pmf(family: FamilyTag, y, z, trials=None):
-    """log f(y | z) for the given family; vectorized over y/z/trials."""
+    """log f(y | z) for the given family; vectorized over y/z/trials.
+
+    The predictive quadrature calls this on grids of many thousand nodes, so
+    the z-dependent part is built in place in one fresh array (softplus's
+    output for the logit families), and the z-free constants, -inf for an
+    impossible outcome, are formed on y's shape.
+    """
     y, z = _as_float_arrays(y, z)
     if family.name == "pln":
-        out = y * z - np.exp(z) - gammaln(y + 1.0)
-        out = np.where(y < 0, -np.inf, out)
+        const = np.where(y < 0, -np.inf, -gammaln(y + 1.0))
+        out = y * z
+        out -= np.exp(z)
     elif family.name == "bil":
         if trials is None:
             raise ValueError("bil log_pmf needs trials")
         (N,) = _as_float_arrays(trials)
-        out = gammaln(N + 1.0) - gammaln(y + 1.0) - gammaln(N - y + 1.0)
-        out = out + y * z - N * softplus(z)
-        out = np.where((y < 0) | (y > N), -np.inf, out)
+        const = gammaln(N + 1.0) - gammaln(y + 1.0) - gammaln(N - y + 1.0)
+        const = np.where((y < 0) | (y > N), -np.inf, const)
+        out = softplus(_broadcast_z(z, y, N))
+        out *= -N
+        out += y * z
     elif family.name == "nbl":
         r = float(family.r)
-        out = gammaln(r + y) - gammaln(y + 1.0) - gammaln(r)
-        out = out + r * z - (r + y) * softplus(z)
-        out = np.where(y < 0, -np.inf, out)
+        const = gammaln(r + y) - gammaln(y + 1.0) - gammaln(r)
+        const = np.where(y < 0, -np.inf, const)
+        out = softplus(_broadcast_z(z, y))
+        out *= -(r + y)
+        out += r * z
     else:  # pragma: no cover
         raise ValueError(family.name)
+    out += const
     return _maybe_scalar(out)
 
 
@@ -100,9 +118,11 @@ def loglik_grad_curvature(family: FamilyTag, y, z, trials=None):
 
     The curvature is negative, so log f is concave in z: pln -e^z; bil
     -N s(1 - s); nbl -(r + y) s(1 - s), with s = logistic(z). This serves
-    the predictive quadrature, whose arrays hold the few hundred draws of
-    one holdout point, where per-call cost outweighs per-element cost; so s
-    comes from one call to scipy's expit rather than from softplus_expit.
+    the predictive quadrature's Newton steps, whose arrays are row chunks of
+    (holdout points x draws) linear predictors, about a thousand elements,
+    with y and trials as (rows, 1) columns. There per-call cost outweighs
+    per-element cost, so s comes from one call to scipy's expit rather than
+    from softplus_expit.
     """
     if family.name == "pln":
         ez = np.exp(z)

@@ -51,8 +51,14 @@ def test_fit_writes_expected_files(tmp_path):
     header, rows = _read_csv(out / "diagnostics.csv")
     assert header == ["stat", "value"]
     stats = {r[0]: float(r[1]) for r in rows}
-    assert set(stats) == {"accept_model", "accept_g", "accept_latent", "distinct_models"}
+    assert set(stats) == {
+        "accept_model", "accept_g", "accept_latent", "distinct_models",
+        "ess_alpha", "ess_sigma2", "ess_log_g", "ess_model_size",
+    }
     assert 0.0 < stats["accept_latent"] < 1.0 and 0.0 <= stats["accept_model"] <= 1.0
+    # g = n here, so it has no chain to mix
+    assert np.isnan(stats["accept_g"]) and np.isnan(stats["ess_log_g"])
+    assert stats["ess_alpha"] > 0.0 and stats["ess_sigma2"] > 0.0
     # with four covariates every visited pattern fits in top_models.csv
     _, top_rows = _read_csv(out / "top_models.csv")
     assert stats["distinct_models"] == len(top_rows) and 1 <= len(top_rows) <= 16
@@ -69,6 +75,31 @@ def test_fit_writes_expected_files(tmp_path):
     assert man["config"]["family"] == "pln"
     assert "seconds" in man
     assert "diagnostics.csv" in man["outputs"]
+
+
+def test_fit_ess_matches_the_benchmark_estimator(tmp_path):
+    from perfbench.fit_loop import pooled_ess
+
+    inp = _write_counts_csv(tmp_path / "d.csv")
+    out = tmp_path / "run"
+    extra = ("--chains", "2", "--gprior", "hyper-gn:3", "--save-draws")
+    assert main(_fit_args(inp, out, extra)) == EXIT_OK
+    _, rows = _read_csv(out / "diagnostics.csv")
+    stats = {r[0]: float(r[1]) for r in rows}
+    header, rows = _read_csv(out / "draws.csv")
+    draws = np.array(rows, dtype=float)
+    col = {name: draws[:, j] for j, name in enumerate(header)}
+    # beta is exactly 0 outside the model
+    size = (draws[:, header.index("beta_x0"):] != 0.0).sum(axis=1).astype(float)
+    want = {
+        "ess_alpha": pooled_ess(col["alpha"], 2),
+        "ess_sigma2": pooled_ess(col["sigma2"], 2),
+        "ess_log_g": pooled_ess(np.log(col["g"]), 2),
+        "ess_model_size": pooled_ess(size, 2),
+    }
+    for name, value in want.items():
+        assert value > 0.0, name
+        np.testing.assert_allclose(stats[name], value, rtol=1e-12, err_msg=name)
 
 
 def test_fit_outputs_reproducible(tmp_path):

@@ -1,15 +1,18 @@
 """Quadrature predictive mass functions and log predictive scores."""
 
+import tracemalloc
+
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import logit, logsumexp, roots_legendre
+from scipy.special import logit, logsumexp, roots_hermite
 from scipy.stats import binom, nbinom, norm, poisson
 
+from ullgm import predictive
 from ullgm.chain import DrawStore
 from ullgm.core import BIL, PLN, Dataset, nbl
 from ullgm.likelihoods import log_pmf
 from ullgm.predictive import (
-    HALF_WIDTH_SDS,
+    BUDGET,
     LOG_PMF_FLOOR,
     QUAD_ORDER,
     ZApproxMoments,
@@ -187,16 +190,16 @@ def test_single_draw_lps_is_minus_log_pmf():
 
 
 def _reference_log_predictive_draws(y, trials, linpred, s2, family):
-    """The draw-major (S, order) integrand reduced with scipy's logsumexp."""
+    """The draw-major (S, order) Gauss-Hermite integrand reduced with scipy's logsumexp."""
     mom = approx_z_moments(y, trials, linpred, s2, family)
-    half = HALF_WIDTH_SDS * np.sqrt(mom.s)
-    x, w = roots_legendre(QUAD_ORDER)
-    zs = mom.m[:, None] + half[:, None] * x[None, :]
+    scale = np.sqrt(2.0 * mom.s)
+    t, w = roots_hermite(QUAD_ORDER)
+    zs = mom.m[:, None] + scale[:, None] * t[None, :]
     log_prior = (
         -0.5 * np.log(2.0 * np.pi * s2)[:, None]
         - (zs - linpred[:, None]) ** 2 / (2.0 * s2[:, None])
     )
-    log_w = np.log(w)[None, :] + np.log(half)[:, None]
+    log_w = (np.log(w) + t**2)[None, :] + np.log(scale)[:, None]
     out = logsumexp(log_w + log_pmf(family, float(y), zs, trials) + log_prior, axis=1)
     return np.maximum(out, LOG_PMF_FLOOR)
 
@@ -251,32 +254,67 @@ def _quad_predictive(y, trials, lin, s2, fam):
         )
 
 
-def test_quadrature_matches_adaptive_integration():
-    # Prior centred where the data put the latent value: logit/log of the
-    # observed rate, give or take half a unit.
+def _centred_grid():
+    """Prior centred where the data put the latent value: logit/log of the
+    observed rate, give or take half a unit."""
     centres = [(PLN, None, y, np.log(y)) for y in (1, 3, 8, 20)]
     centres += [(BIL, 20.0, y, logit(y / 20.0)) for y in (3, 10, 17)]
     centres += [(nbl(2), None, y, np.log(2.0 / y)) for y in (1, 2, 6)]
     for fam, trials, y, centre in centres:
         for shift in (-0.5, 0.0, 0.5):
             for s2 in (0.1, 0.5, 1.0):
-                lin = centre + shift
-                got = np.exp(
-                    log_predictive_draws(float(y), trials, np.array([lin]), np.array([s2]), fam)
-                )[0]
-                want = _quad_predictive(float(y), trials, lin, s2, fam)
-                np.testing.assert_allclose(
-                    got, want, rtol=1e-5, err_msg=f"{fam.name} y={y} lin={lin:.3f} s2={s2}"
-                )
+                yield fam, trials, y, centre + shift, s2
+
+
+# The curvature-matched start sits many sds from the integrand's mode here;
+# quadrature around it without Newton steps is 14.8 nats low at y = 60 and
+# 0.006 nats at y = 8.
+_RECENTRING = [(PLN, None, 60, -2.0, 0.05), (PLN, None, 8, -1.0, 0.1)]
+
+# Wide priors and skewed integrands: zero counts, all-or-nothing binomials,
+# rare successes and long negative-binomial tails.
+_WIDE_OR_SKEWED = [
+    (PLN, None, 1, 0.0, 9.0),
+    (PLN, None, 0, 1.0, 4.0),
+    (PLN, None, 3, -1.0, 4.0),
+    (PLN, None, 2, 0.5, 2.0),
+    (BIL, 10.0, 0, 0.0, 9.0),
+    (BIL, 10.0, 10, 0.0, 9.0),
+    (BIL, 50.0, 1, -2.0, 4.0),
+    (BIL, 1.0, 0, 0.0, 9.0),
+    (nbl(2), None, 0, 0.0, 9.0),
+    (nbl(2), None, 30, 0.0, 9.0),
+]
+
+
+def _assert_matches_quad(cases, rtol):
+    for fam, trials, y, lin, s2 in cases:
+        got = np.exp(
+            log_predictive_draws(float(y), trials, np.array([lin]), np.array([s2]), fam)
+        )[0]
+        want = _quad_predictive(float(y), trials, lin, s2, fam)
+        np.testing.assert_allclose(
+            got, want, rtol=rtol, err_msg=f"{fam.name} y={y} lin={lin:.3f} s2={s2}"
+        )
+
+
+def test_quadrature_matches_adaptive_integration():
+    _assert_matches_quad(_centred_grid(), rtol=1e-5)
 
 
 def test_quadrature_recentres_where_data_and_prior_disagree():
-    # The curvature-matched guess alone put the window many sds from the
-    # integrand's mode here: 14.8 nats low at y = 60, 0.006 nats at y = 8.
-    for y, lin, s2 in ((60.0, -2.0, 0.05), (8.0, -1.0, 0.1)):
-        got = np.exp(log_predictive_draws(y, None, np.array([lin]), np.array([s2]), PLN))[0]
-        want = _quad_predictive(y, None, lin, s2, PLN)
-        np.testing.assert_allclose(got, want, rtol=1e-6, err_msg=f"y={y}")
+    _assert_matches_quad(_RECENTRING, rtol=1e-6)
+
+
+def test_gauss_hermite_rule_is_within_2e_7_of_adaptive_integration():
+    # 16 nodes at the mode reach 8.0e-8 here; 64 Gauss-Legendre nodes on
+    # +-6 sd reach only 3.4e-6, held back by the truncated tails.
+    _assert_matches_quad([*_centred_grid(), *_RECENTRING], rtol=2e-7)
+
+
+def test_gauss_hermite_rule_holds_for_wide_priors_and_skewed_integrands():
+    # Worst 1.6e-5 here; 64 Gauss-Legendre nodes on +-6 sd reach 3.6e-4.
+    _assert_matches_quad(_WIDE_OR_SKEWED, rtol=5e-5)
 
 
 def test_impossible_and_overflowing_rows_hit_the_floor():
@@ -305,3 +343,95 @@ def test_impossible_and_overflowing_rows_hit_the_floor():
     np.testing.assert_array_equal(per_draw, LOG_PMF_FLOOR)
     assert np.all(np.isfinite(logp)) and floored[0]
     np.testing.assert_allclose(logp[0], LOG_PMF_FLOOR, rtol=1e-12)
+
+
+def _newton_steps(monkeypatch, y, linpred, sigma2, family):
+    """Newton steps the 1-D rule takes for one point's draws."""
+    calls = []
+    real = predictive.loglik_grad_curvature
+    with monkeypatch.context() as m:
+        m.setattr(predictive, "loglik_grad_curvature", lambda *a: calls.append(1) or real(*a))
+        log_predictive_draws(y, None, linpred, sigma2, family)
+    return len(calls)
+
+
+def _row_by_row(holdout, draws, col_means):
+    """Each row scored alone by the 1-D rule, reduced over draws with scipy."""
+    logp = np.array([
+        logsumexp(log_predictive_draws(
+            holdout.y[i], None, draws.alpha + (holdout.X[i] - col_means) @ draws.beta.T,
+            draws.sigma2, holdout.family,
+        )) - np.log(draws.n_kept)
+        for i in range(holdout.n)
+    ])
+    return logp, logp <= LOG_PMF_FLOOR + 1e-9
+
+
+def _chunk_case(rng, S):
+    """Seven pln points on one covariate with slope ~1. Row 1 (y = 0 at
+    linpred 10) takes NEWTON_MAX_STEPS steps, its neighbours one; row 3
+    (y = 5000 at linpred -30) hits the floor."""
+    draws = DrawStore(
+        alpha=rng.normal(0.0, 0.05, size=S),
+        sigma2=np.full(S, 0.5),
+        g=np.full(S, 50.0),
+        included=np.ones((S, 1), dtype=bool),
+        beta=rng.normal(1.0, 0.01, size=(S, 1)),
+        z=None,
+    )
+    x = np.array([0.0, 10.0, np.log(3.0), -30.0, 2.0, 0.0, 1.0])
+    y = np.array([1.0, 0.0, 3.0, 5000.0, 7.0, 0.0, 2.0])
+    return Dataset(y=y, X=x[:, None], family=PLN), draws
+
+
+def test_chunks_score_each_row_as_if_alone(monkeypatch):
+    rng = np.random.default_rng(4)
+    S = 40
+    holdout, draws = _chunk_case(rng, S)
+    col_means = np.zeros(1)
+    steps = [
+        _newton_steps(monkeypatch, holdout.y[i], draws.alpha + holdout.X[i, 0] * draws.beta[:, 0],
+                      draws.sigma2, PLN)
+        for i in range(3)
+    ]
+    assert steps == [1, predictive.NEWTON_MAX_STEPS, 1]
+    want, want_floored = _row_by_row(holdout, draws, col_means)
+    assert want_floored.tolist() == [False, False, False, True, False, False, False]
+    # Three rows per chunk: chunks [0, 3), [3, 6) and [6, 7).
+    monkeypatch.setattr(predictive, "BUDGET", 3 * S + 1)
+    with np.errstate(over="ignore"):
+        logp, floored = per_point_log_predictive(holdout, draws, col_means)
+    np.testing.assert_allclose(logp, want, rtol=1e-13)
+    np.testing.assert_array_equal(floored, want_floored)
+
+
+def test_more_draws_than_the_budget_score_one_row_per_chunk():
+    rng = np.random.default_rng(6)
+    holdout, draws = _chunk_case(rng, BUDGET + 1)
+    want, want_floored = _row_by_row(holdout, draws, np.zeros(1))
+    with np.errstate(over="ignore"):
+        logp, floored = per_point_log_predictive(holdout, draws, np.zeros(1))
+    np.testing.assert_allclose(logp, want, rtol=1e-13)
+    np.testing.assert_array_equal(floored, want_floored)
+
+
+def test_memory_stays_bounded_as_the_holdout_grows():
+    # A (holdout points x draws) matrix at S = 500 would add 7.6 MB here.
+    rng = np.random.default_rng(8)
+    S, p = 500, 3
+    draws = _random_draws(rng, S, p)
+    col_means = np.zeros(p)
+    peaks = []
+    for n_p in (100, 2000):
+        holdout = Dataset(
+            y=rng.poisson(2.0, size=n_p).astype(float), X=rng.normal(size=(n_p, p)), family=PLN
+        )
+        per_point_log_predictive(holdout, draws, col_means)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            per_point_log_predictive(holdout, draws, col_means)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 256 * 1024, peaks

@@ -52,13 +52,20 @@ def test_draws_digest_compares_against_saved_draws(tmp_path, capsys):
     assert digest.main([*argv, "--against", str(tmp_path)]) == 0
     words = capsys.readouterr().out.split()
     assert words[:3] == saved
-    assert words[3:] == ["included=same", "alpha=0", "sigma2=0", "g=0", "beta=0"]
+    assert words[3:] == ["included=same", "alpha=0", "sigma2=0", "g=0", "beta=0", "logp=0"]
     (file,) = tmp_path.glob("*.npz")
     with np.load(file) as d:
         arrays = dict(d)
+    assert arrays["logp"].shape == (300,)
     arrays["alpha"] += 0.5
+    arrays["logp"][7] -= 0.25
     arrays["included"][0, 0] ^= True
     np.savez(file, **arrays)
     assert digest.main([*argv, "--against", str(tmp_path)]) == 0
-    assert capsys.readouterr().out.split()[3:5] == ["included=differs", "alpha=0.5"]
+    words = capsys.readouterr().out.split()
+    assert words[3:5] == ["included=differs", "alpha=0.5"] and words[8] == "logp=0.25"
+    del arrays["logp"]  # saved without scores
+    np.savez(file, **arrays)
+    assert digest.main([*argv, "--against", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.split()[8] == "logp=nan"
     assert digest.main([*argv, "--against", str(tmp_path / "missing")]) == 2
