@@ -47,7 +47,6 @@ class ChainConfig:
     thin: int = 1
     seed: int = 0
     store_beta: bool = True
-    store_z: bool = False
     fixed_sigma2: float | None = None  # pin sigma2 (no draw); tiny value ~ GLM limit
 
     def __post_init__(self) -> None:
@@ -90,7 +89,6 @@ class DrawStore:
     g: np.ndarray
     included: np.ndarray  # (S, p) bool
     beta: np.ndarray | None  # (S, p), zeros outside the model
-    z: np.ndarray | None  # (S, n)
 
     @property
     def n_kept(self) -> int:
@@ -98,16 +96,12 @@ class DrawStore:
 
     @staticmethod
     def concat(stores: list["DrawStore"]) -> "DrawStore":
-        def cat(xs):
-            return None if xs[0] is None else np.concatenate(xs, axis=0)
-
         return DrawStore(
             alpha=np.concatenate([s.alpha for s in stores]),
             sigma2=np.concatenate([s.sigma2 for s in stores]),
             g=np.concatenate([s.g for s in stores]),
             included=np.concatenate([s.included for s in stores], axis=0),
-            beta=cat([s.beta for s in stores]),
-            z=cat([s.z for s in stores]),
+            beta=None if stores[0].beta is None else np.concatenate([s.beta for s in stores]),
         )
 
 
@@ -227,7 +221,6 @@ def run_chain(data: Dataset, prior: PriorConfig, config: ChainConfig) -> ChainOu
         g=np.empty(n_keep),
         included=np.empty((n_keep, p), dtype=bool),
         beta=np.empty((n_keep, p)) if config.store_beta else None,
-        z=np.empty((n_keep, n)) if config.store_z else None,
     )
 
     y, trials = data.y, data.trials
@@ -282,8 +275,6 @@ def run_chain(data: Dataset, prior: PriorConfig, config: ChainConfig) -> ChainOu
             store.included[kept] = M.included
             if store.beta is not None:
                 store.beta[kept] = beta_full
-            if store.z is not None:
-                store.z[kept] = z
             kept += 1
 
     return summarize(

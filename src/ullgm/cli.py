@@ -16,37 +16,27 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import astuple
 
 import numpy as np
 
+from . import __version__
 from .chain import ChainConfig, ChainOutput, DrawStore, run_chains
 from .core import (
-    BIL,
     Dataset,
     FamilyTag,
     FixedG,
     HyperGOverN,
-    PLN,
     PriorConfig,
-    nbl,
     validate_dataset,
 )
 from .diagnostics import pooled_ess
 from .predictive import per_point_log_predictive
-from .simulation import MetricsReport, SimConfig, gen_dataset, metrics
-
-try:  # installed distribution metadata, if present
-    from importlib.metadata import version as _dist_version
-
-    VERSION = _dist_version("ullgm")
-except Exception:  # pragma: no cover
-    VERSION = "0.1.0"
+from .simulation import SimConfig, gen_dataset, metrics
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_IO = 3
-
 
 class CliError(Exception):
     def __init__(self, exit_code: int, message: str):
@@ -60,12 +50,14 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
+def _write_csv(out_dir: str, name: str, header: list[str], rows) -> str:
+    """Writes out_dir/name and returns name."""
+    with open(os.path.join(out_dir, name), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         for row in rows:
             w.writerow([c if isinstance(c, str) else _fmt(c) for c in row])
+    return name
 
 
 def _read_csv(path: str) -> tuple[list[str], list[list[str]]]:
@@ -108,50 +100,49 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-@dataclass
-class RunManifest:
-    command: str
-    config: dict
-    version: str
-    dataset: dict  # rows, cols, sha256
-    standardize: str
-    seconds: float
-    outputs: list
+def _write_manifest(
+    args: argparse.Namespace,
+    t0: float,
+    rows: int,
+    cols: int,
+    data_path: str,
+    standardize: str,
+    outputs: list[str],
+) -> None:
+    """Writes out_dir/manifest.json: the command, its flags, the data's shape and hash."""
+    manifest = {
+        "command": args.subcommand,
+        "config": {k: v for k, v in vars(args).items() if k != "func"},
+        "version": __version__,
+        "dataset": {"rows": rows, "cols": cols, "sha256": _sha256(data_path)},
+        "standardize": standardize,
+        "seconds": round(time.monotonic() - t0, 3),
+        "outputs": outputs,
+    }
+    with open(os.path.join(args.out_dir, "manifest.json"), "w") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
-    def write(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
-
-def _config_echo(args: argparse.Namespace) -> dict:
-    skip = {"func"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
-
-
-def _resolve_family(args: argparse.Namespace) -> FamilyTag:
-    if args.family == "pln":
-        return PLN
-    if args.family == "bil":
-        return BIL
-    if args.r is None:
+def _family(name: str, r: int | None) -> FamilyTag:
+    """The family named by the flags, or by a fit's manifest; r counts only for nbl."""
+    if name == "nbl" and r is None:
         raise CliError(EXIT_VALIDATION, "--family nbl requires --r")
-    return nbl(args.r)
+    try:
+        return FamilyTag(name, r if name == "nbl" else None)
+    except ValueError as e:
+        raise CliError(EXIT_VALIDATION, str(e)) from None
 
 
 def _parse_gprior(text: str, n: int):
     if text == "uip":
         return FixedG(float(n))
-    if text.startswith("fixed:"):
-        try:
-            return FixedG(float(text.split(":", 1)[1]))
-        except ValueError as e:
-            raise CliError(EXIT_VALIDATION, f"bad --gprior value {text!r}: {e}") from None
-    if text.startswith("hyper-gn:"):
-        try:
-            return HyperGOverN(float(text.split(":", 1)[1]))
-        except ValueError as e:
-            raise CliError(EXIT_VALIDATION, f"bad --gprior value {text!r}: {e}") from None
+    for prefix, kind in (("fixed:", FixedG), ("hyper-gn:", HyperGOverN)):
+        if text.startswith(prefix):
+            try:
+                return kind(float(text[len(prefix):]))
+            except ValueError as e:
+                raise CliError(EXIT_VALIDATION, f"bad --gprior value {text!r}: {e}") from None
     raise CliError(EXIT_VALIDATION, f"unknown --gprior {text!r} (uip | fixed:<g> | hyper-gn:<a>)")
 
 
@@ -167,9 +158,20 @@ def _standardize(X: np.ndarray, names: list[str], mode: str) -> tuple[np.ndarray
     return (X - means) / sds, means, sds
 
 
-def _load_table(args: argparse.Namespace, family: FamilyTag):
-    """Reads --input and binds column roles. Returns (names, X, y, trials)."""
+def _load_table(args: argparse.Namespace, family: FamilyTag, names: list[str] | None = None):
+    """Reads --input and binds column roles. Returns (names, X, y, trials).
+
+    `names`, when given, are the covariates a fit was trained on; one the
+    table lacks is a validation error, reported before any column is read.
+    """
     header, body = _read_csv(args.input)
+    if names is not None:
+        missing = [c for c in names if c not in header]
+        if missing:
+            raise CliError(
+                EXIT_VALIDATION,
+                f"holdout is missing training covariates: {', '.join(missing)}",
+            )
     y = _numeric_column(args.input, header, body, args.outcome)
     trials = None
     reserved = {args.outcome}
@@ -178,9 +180,9 @@ def _load_table(args: argparse.Namespace, family: FamilyTag):
             raise CliError(EXIT_IO, "--family bil requires --trials naming a column")
         trials = _numeric_column(args.input, header, body, args.trials)
         reserved.add(args.trials)
-    if args.covariates:
+    if names is None and args.covariates:
         names = [c.strip() for c in args.covariates.split(",") if c.strip()]
-    else:
+    elif names is None:
         names = [c for c in header if c not in reserved]
     if not names:
         raise CliError(EXIT_IO, f"{args.input}: no covariate columns left")
@@ -197,138 +199,99 @@ def _validated_dataset(y, X, family, trials) -> Dataset:
     return data
 
 
-def _chain_config(args: argparse.Namespace, fixed_sigma2: float | None = None) -> ChainConfig:
+def _run(args: argparse.Namespace, data: Dataset, seed: int) -> ChainOutput:
+    """Builds the prior and chain settings from the sampler flags and runs --chains chains."""
+    m = args.msize if args.msize is not None else data.p / 2.0
+    if not (0 < m < data.p):
+        raise CliError(EXIT_VALIDATION, f"--msize must lie in (0, {data.p}), got {m}")
+    prior = PriorConfig(gprior=_parse_gprior(args.gprior, data.n), model_size=m)
     try:
-        return ChainConfig(
+        config = ChainConfig(
             n_iter=args.iters,
             burn_in=args.burnin,
             thin=args.thin,
-            seed=args.seed,
-            store_beta=True,
-            fixed_sigma2=fixed_sigma2,
+            seed=seed,
         )
     except ValueError as e:
         raise CliError(EXIT_VALIDATION, str(e)) from None
-
-
-def _prior_config(args: argparse.Namespace, n: int, p: int) -> PriorConfig:
-    m = args.msize if args.msize is not None else p / 2.0
-    if not (0 < m < p):
-        raise CliError(EXIT_VALIDATION, f"--msize must lie in (0, {p}), got {m}")
-    return PriorConfig(gprior=_parse_gprior(args.gprior, n), model_size=m)
-
-
-def _write_fit_outputs(
-    out_dir: str,
-    names: list[str],
-    out: ChainOutput,
-    shift: np.ndarray,
-    scale: np.ndarray,
-    save_draws: bool,
-    chains: int,
-) -> list[str]:
-    files = []
-
-    path = os.path.join(out_dir, "summary.csv")
-    _write_csv(
-        path,
-        ["covariate", "pip", "beta_mean", "beta_sd"],
-        [
-            (names[j], out.pip[j], out.beta_mean[j], out.beta_sd[j])
-            for j in range(len(names))
-        ],
-    )
-    files.append("summary.csv")
-
-    path = os.path.join(out_dir, "scalars.csv")
-    rows = []
-    for pname, s in (("alpha", out.alpha), ("sigma2", out.sigma2), ("g", out.g)):
-        rows.append((pname, s.mean, s.sd, s.q025, s.q25, s.median, s.q75, s.q975))
-    _write_csv(path, ["param", "mean", "sd", "q2.5", "q25", "q50", "q75", "q97.5"], rows)
-    files.append("scalars.csv")
-
-    path = os.path.join(out_dir, "top_models.csv")
-    _write_csv(
-        path,
-        ["rank", "model", "frequency"],
-        [(str(i + 1), bits, freq) for i, (bits, freq) in enumerate(out.top_models[:100])],
-    )
-    files.append("top_models.csv")
-
-    # Effective transform applied to raw covariates before the coefficients:
-    # x -> (x - mean) / scale; folds the in-library centering into the shift.
-    path = os.path.join(out_dir, "centering.csv")
-    eff_mean = shift + scale * out.col_means
-    _write_csv(
-        path,
-        ["covariate", "mean", "scale"],
-        [(names[j], eff_mean[j], scale[j]) for j in range(len(names))],
-    )
-    files.append("centering.csv")
-
-    # Acceptance rates averaged over all iterations and chains (accept_g is
-    # nan when g is fixed), the number of distinct inclusion patterns among
-    # the kept draws, and effective sample sizes summed over chains (ess_log_g
-    # is nan when g is fixed).
-    d = out.draws
-    fixed_g = np.isnan(out.accept_g)
-    path = os.path.join(out_dir, "diagnostics.csv")
-    _write_csv(
-        path,
-        ["stat", "value"],
-        [
-            ("accept_model", out.accept_model),
-            ("accept_g", out.accept_g),
-            ("accept_latent", out.accept_latent),
-            ("distinct_models", len(out.top_models)),
-            ("ess_alpha", pooled_ess(d.alpha, chains)),
-            ("ess_sigma2", pooled_ess(d.sigma2, chains)),
-            ("ess_log_g", np.nan if fixed_g else pooled_ess(np.log(d.g), chains)),
-            ("ess_model_size", pooled_ess(d.included.sum(axis=1), chains)),
-        ],
-    )
-    files.append("diagnostics.csv")
-
-    if save_draws:
-        path = os.path.join(out_dir, "draws.csv")
-        header = ["alpha", "sigma2", "g"] + [f"beta_{c}" for c in names]
-        body = np.column_stack([d.alpha, d.sigma2, d.g, d.beta])
-        _write_csv(path, header, body)
-        files.append("draws.csv")
-
-    return files
+    return run_chains(data, prior, config, args.chains)
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
-    family = _resolve_family(args)
+    family = _family(args.family, args.r)
     names, X_raw, y, trials = _load_table(args, family)
     X, shift, scale = _standardize(X_raw, names, args.standardize)
     data = _validated_dataset(y, X, family, trials)
-    prior = _prior_config(args, data.n, data.p)
-    config = _chain_config(args)
-    out = run_chains(data, prior, config, args.chains)
+    out = _run(args, data, args.seed)
 
     os.makedirs(args.out_dir, exist_ok=True)
-    files = _write_fit_outputs(
-        args.out_dir, names, out, shift, scale, args.save_draws, args.chains
-    )
-    manifest = RunManifest(
-        command="fit",
-        config=_config_echo(args),
-        version=VERSION,
-        dataset={"rows": data.n, "cols": data.p, "sha256": _sha256(args.input)},
-        standardize=args.standardize,
-        seconds=round(time.monotonic() - t0, 3),
-        outputs=files,
-    )
-    manifest.write(os.path.join(args.out_dir, "manifest.json"))
+    d = out.draws
+    # Effective transform applied to raw covariates before the coefficients:
+    # x -> (x - mean) / scale; folds the in-library centering into the shift.
+    eff_mean = shift + scale * out.col_means
+    # Acceptance rates averaged over all iterations and chains (accept_g is
+    # nan when g is fixed), the number of distinct inclusion patterns among
+    # the kept draws, and effective sample sizes summed over chains (ess_log_g
+    # is nan when g is fixed).
+    fixed_g = np.isnan(out.accept_g)
+    files = [
+        _write_csv(
+            args.out_dir,
+            "summary.csv",
+            ["covariate", "pip", "beta_mean", "beta_sd"],
+            [
+                (names[j], out.pip[j], out.beta_mean[j], out.beta_sd[j])
+                for j in range(len(names))
+            ],
+        ),
+        _write_csv(
+            args.out_dir,
+            "scalars.csv",
+            ["param", "mean", "sd", "q2.5", "q25", "q50", "q75", "q97.5"],
+            [
+                (pname, *astuple(s))
+                for pname, s in (("alpha", out.alpha), ("sigma2", out.sigma2), ("g", out.g))
+            ],
+        ),
+        _write_csv(
+            args.out_dir,
+            "top_models.csv",
+            ["rank", "model", "frequency"],
+            [(str(i + 1), bits, freq) for i, (bits, freq) in enumerate(out.top_models[:100])],
+        ),
+        _write_csv(
+            args.out_dir,
+            "centering.csv",
+            ["covariate", "mean", "scale"],
+            [(names[j], eff_mean[j], scale[j]) for j in range(len(names))],
+        ),
+        _write_csv(
+            args.out_dir,
+            "diagnostics.csv",
+            ["stat", "value"],
+            [
+                ("accept_model", out.accept_model),
+                ("accept_g", out.accept_g),
+                ("accept_latent", out.accept_latent),
+                ("distinct_models", len(out.top_models)),
+                ("ess_alpha", pooled_ess(d.alpha, args.chains)),
+                ("ess_sigma2", pooled_ess(d.sigma2, args.chains)),
+                ("ess_log_g", np.nan if fixed_g else pooled_ess(np.log(d.g), args.chains)),
+                ("ess_model_size", pooled_ess(d.included.sum(axis=1), args.chains)),
+            ],
+        ),
+    ]
+    if args.save_draws:
+        header = ["alpha", "sigma2", "g"] + [f"beta_{c}" for c in names]
+        body = np.column_stack([d.alpha, d.sigma2, d.g, d.beta])
+        files.append(_write_csv(args.out_dir, "draws.csv", header, body))
+    _write_manifest(args, t0, data.n, data.p, args.input, args.standardize, files)
     return EXIT_OK
 
 
 def _write_sim_dataset(out_dir: str, data: Dataset, truth) -> list[str]:
     names = [f"x{j + 1}" for j in range(data.p)]
-    files = []
     header = ["y"] + (["trials"] if data.trials is not None else []) + names
     rows = []
     for i in range(data.n):
@@ -337,37 +300,22 @@ def _write_sim_dataset(out_dir: str, data: Dataset, truth) -> list[str]:
             row.append(int(data.trials[i]))
         row.extend(data.X[i])
         rows.append(row)
-    _write_csv(os.path.join(out_dir, "data.csv"), header, rows)
-    files.append("data.csv")
 
     t_rows = [("intercept", truth.intercept, ""), ("sigma2", truth.sigma2, "")]
     for j, name in enumerate(names):
         t_rows.append((name, truth.beta_star[j], str(int(truth.model.included[j]))))
-    _write_csv(os.path.join(out_dir, "truth.csv"), ["name", "value", "included"], t_rows)
-    files.append("truth.csv")
-    return files
+    return [
+        _write_csv(out_dir, "data.csv", header, rows),
+        _write_csv(out_dir, "truth.csv", ["name", "value", "included"], t_rows),
+    ]
 
 
 METRIC_COLUMNS = ["size", "frac_true", "brier", "fnr", "fpr", "ln_g", "sigma2", "seconds"]
 
 
-def _metric_row(label: str, rep: MetricsReport, seconds: float) -> list:
-    return [
-        label,
-        rep.model_size,
-        rep.frac_true,
-        rep.brier,
-        rep.fnr,
-        rep.fpr,
-        rep.ln_g,
-        rep.sigma2,
-        seconds,
-    ]
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
-    family = _resolve_family(args)
+    family = _family(args.family, args.r)
     try:
         sim = SimConfig(
             n=args.n,
@@ -387,7 +335,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     if args.run:
         rows = []
-        reports = []
         for r in range(args.replicates):
             tr0 = time.monotonic()
             data, truth, _ = (
@@ -395,41 +342,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 if r == 0
                 else gen_dataset(sim, np.random.default_rng((args.seed, r)))
             )
-            prior = _prior_config(args, data.n, data.p)
-            config = replace(_chain_config(args), seed=args.seed + r)
-            out = run_chains(data, prior, config, args.chains)
-            rep = metrics(out, truth)
-            secs = round(time.monotonic() - tr0, 3)
-            reports.append((rep, secs))
-            rows.append(_metric_row(str(r), rep, secs))
-        agg = [
-            "aggregate",
-            *(
-                float(np.mean([getattr(rep, f) for rep, _ in reports]))
-                for f in ("model_size", "frac_true", "brier", "fnr", "fpr", "ln_g", "sigma2")
-            ),
-            float(np.mean([secs for _, secs in reports])),
-        ]
-        rows.append(agg)
-        _write_csv(
-            os.path.join(args.out_dir, "metrics.csv"), ["replicate"] + METRIC_COLUMNS, rows
+            rep = metrics(_run(args, data, args.seed + r), truth)
+            rows.append([str(r), *astuple(rep), round(time.monotonic() - tr0, 3)])
+        columns = zip(*(row[1:] for row in rows))  # the metrics, then seconds
+        rows.append(["aggregate", *(float(np.mean(col)) for col in columns)])
+        files.append(
+            _write_csv(args.out_dir, "metrics.csv", ["replicate"] + METRIC_COLUMNS, rows)
         )
-        files.append("metrics.csv")
 
-    manifest = RunManifest(
-        command="simulate",
-        config=_config_echo(args),
-        version=VERSION,
-        dataset={
-            "rows": data0.n,
-            "cols": data0.p,
-            "sha256": _sha256(os.path.join(args.out_dir, "data.csv")),
-        },
-        standardize="center",
-        seconds=round(time.monotonic() - t0, 3),
-        outputs=files,
-    )
-    manifest.write(os.path.join(args.out_dir, "manifest.json"))
+    data_path = os.path.join(args.out_dir, "data.csv")
+    _write_manifest(args, t0, data0.n, data0.p, data_path, "center", files)
     return EXIT_OK
 
 
@@ -439,11 +361,8 @@ def _load_draw_store(draws_dir: str) -> tuple[DrawStore, list[str], np.ndarray, 
     cpath = os.path.join(draws_dir, "centering.csv")
     cheader, cbody = _read_csv(cpath)
     names = [row[cheader.index("covariate")] for row in cbody]
-    mean = _numeric_column(cpath, cheader, cbody, "mean")
-    scale = _numeric_column(cpath, cheader, cbody, "scale")
-    alpha = _numeric_column(dpath, header, body, "alpha")
-    sigma2 = _numeric_column(dpath, header, body, "sigma2")
-    g = _numeric_column(dpath, header, body, "g")
+    mean, scale = (_numeric_column(cpath, cheader, cbody, c) for c in ("mean", "scale"))
+    alpha, sigma2, g = (_numeric_column(dpath, header, body, c) for c in ("alpha", "sigma2", "g"))
     beta = np.column_stack(
         [_numeric_column(dpath, header, body, f"beta_{c}") for c in names]
     )
@@ -453,45 +372,27 @@ def _load_draw_store(draws_dir: str) -> tuple[DrawStore, list[str], np.ndarray, 
         g=g,
         included=beta != 0.0,
         beta=beta,
-        z=None,
     )
     return store, names, mean, scale
 
 
-def _predict_family(args: argparse.Namespace) -> FamilyTag:
-    if args.family is not None:
-        return _resolve_family(args)
-    mpath = os.path.join(args.draws, "manifest.json")
-    try:
-        with open(mpath) as fh:
-            cfg = json.load(fh)["config"]
-    except (OSError, KeyError, json.JSONDecodeError) as e:
-        raise CliError(EXIT_IO, f"cannot recover family from {mpath}: {e}") from None
-    ns = argparse.Namespace(family=cfg.get("family"), r=cfg.get("r"))
-    if ns.family is None:
-        raise CliError(EXIT_IO, f"{mpath} does not record a family; pass --family")
-    return _resolve_family(ns)
-
-
 def cmd_predict(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
-    family = _predict_family(args)
+    family_name, r = args.family, args.r
+    if family_name is None:  # recover the family the draws were fitted with
+        mpath = os.path.join(args.draws, "manifest.json")
+        try:
+            with open(mpath) as fh:
+                cfg = json.load(fh)["config"]
+        except (OSError, KeyError, json.JSONDecodeError) as e:
+            raise CliError(EXIT_IO, f"cannot recover family from {mpath}: {e}") from None
+        family_name, r = cfg.get("family"), cfg.get("r")
+        if family_name is None:
+            raise CliError(EXIT_IO, f"{mpath} does not record a family; pass --family")
+    family = _family(family_name, r)
     store, names, mean, scale = _load_draw_store(args.draws)
 
-    header, body = _read_csv(args.input)
-    missing = [c for c in names if c not in header]
-    if missing:
-        raise CliError(
-            EXIT_VALIDATION,
-            f"holdout is missing training covariates: {', '.join(missing)}",
-        )
-    y = _numeric_column(args.input, header, body, args.outcome)
-    trials = None
-    if family.name == "bil":
-        if not args.trials:
-            raise CliError(EXIT_IO, "--family bil requires --trials naming a column")
-        trials = _numeric_column(args.input, header, body, args.trials)
-    X = np.column_stack([_numeric_column(args.input, header, body, c) for c in names])
+    _, X, y, trials = _load_table(args, family, names)
     X_std = (X - mean) / scale
     data = Dataset(y=y, X=X_std, family=family, trials=trials)
     rep = validate_dataset(data)
@@ -502,33 +403,23 @@ def cmd_predict(args: argparse.Namespace) -> int:
     lps_value = float(-logp.mean())
 
     os.makedirs(args.out_dir, exist_ok=True)
-    _write_csv(
-        os.path.join(args.out_dir, "predictions.csv"),
-        ["index", "y", "log_prob", "floored"],
-        [(str(i), int(y[i]), logp[i], str(int(floored[i]))) for i in range(data.n)],
-    )
-    _write_csv(
-        os.path.join(args.out_dir, "lps.csv"),
-        ["n_points", "lps"],
-        [(str(data.n), lps_value)],
-    )
-    manifest = RunManifest(
-        command="predict",
-        config=_config_echo(args),
-        version=VERSION,
-        dataset={"rows": data.n, "cols": data.p, "sha256": _sha256(args.input)},
-        standardize="as-recorded",
-        seconds=round(time.monotonic() - t0, 3),
-        outputs=["predictions.csv", "lps.csv"],
-    )
-    manifest.write(os.path.join(args.out_dir, "manifest.json"))
+    files = [
+        _write_csv(
+            args.out_dir,
+            "predictions.csv",
+            ["index", "y", "log_prob", "floored"],
+            [(str(i), int(y[i]), logp[i], str(int(floored[i]))) for i in range(data.n)],
+        ),
+        _write_csv(args.out_dir, "lps.csv", ["n_points", "lps"], [(str(data.n), lps_value)]),
+    ]
+    _write_manifest(args, t0, data.n, data.p, args.input, "as-recorded", files)
     print(f"lps {lps_value!r} over {data.n} points", file=sys.stdout)
     return EXIT_OK
 
 
 def cmd_cv(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
-    family = _resolve_family(args)
+    family = _family(args.family, args.r)
     names, X_raw, y, trials = _load_table(args, family)
     n = y.shape[0]
     n_test = max(1, int(round(args.test_share * n)))
@@ -546,9 +437,7 @@ def cmd_cv(args: argparse.Namespace) -> int:
             family,
             None if trials is None else trials[train_idx],
         )
-        prior = _prior_config(args, data_tr.n, data_tr.p)
-        config = replace(_chain_config(args), seed=args.seed + s)
-        out = run_chains(data_tr, prior, config, args.chains)
+        out = _run(args, data_tr, args.seed + s)
         eff_mean = shift + scale * out.col_means
         X_te = (X_raw[test_idx] - eff_mean) / scale
         data_te = Dataset(
@@ -563,23 +452,12 @@ def cmd_cv(args: argparse.Namespace) -> int:
     arr = np.asarray(scores)
     rows = [(str(s), str(n_test), scores[s]) for s in range(args.splits)]
     rows += [
-        ("mean", "", float(arr.mean())),
-        ("median", "", float(np.median(arr))),
-        ("min", "", float(arr.min())),
-        ("max", "", float(arr.max())),
+        (stat, "", float(f(arr)))
+        for stat, f in (("mean", np.mean), ("median", np.median), ("min", np.min), ("max", np.max))
     ]
     os.makedirs(args.out_dir, exist_ok=True)
-    _write_csv(os.path.join(args.out_dir, "cv_scores.csv"), ["split", "n_test", "lps"], rows)
-    manifest = RunManifest(
-        command="cv",
-        config=_config_echo(args),
-        version=VERSION,
-        dataset={"rows": n, "cols": len(names), "sha256": _sha256(args.input)},
-        standardize=args.standardize,
-        seconds=round(time.monotonic() - t0, 3),
-        outputs=["cv_scores.csv"],
-    )
-    manifest.write(os.path.join(args.out_dir, "manifest.json"))
+    files = [_write_csv(args.out_dir, "cv_scores.csv", ["split", "n_test", "lps"], rows)]
+    _write_manifest(args, t0, n, len(names), args.input, args.standardize, files)
     return EXIT_OK
 
 
@@ -596,12 +474,11 @@ def _add_sampler_flags(sp: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_family_flags(sp: argparse.ArgumentParser, required: bool = True, default="pln") -> None:
+def _add_family_flags(sp: argparse.ArgumentParser, default: str | None = "pln") -> None:
     sp.add_argument(
         "--family",
         choices=["pln", "bil", "nbl"],
-        default=None if required else default,
-        required=False,
+        default=default,
     )
     sp.add_argument("--r", type=int, default=None, help="negative-binomial size for nbl")
 
@@ -618,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--outcome", required=True)
     fit.add_argument("--trials", default=None, help="trials column (bil)")
     fit.add_argument("--covariates", default=None, help="comma-separated columns (default: all)")
-    _add_family_flags(fit, required=False)
+    _add_family_flags(fit)
     _add_sampler_flags(fit)
     fit.add_argument("--save-draws", action="store_true")
     fit.add_argument("--out-dir", required=True)
@@ -633,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--trials-count", type=int, default=30)
     sim.add_argument("--replicates", type=int, default=1)
     sim.add_argument("--run", action="store_true", help="also fit each replicate")
-    _add_family_flags(sim, required=False)
+    _add_family_flags(sim)
     _add_sampler_flags(sim)
     sim.add_argument("--out-dir", required=True)
     sim.set_defaults(func=cmd_simulate)
@@ -643,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     pred.add_argument("--input", required=True)
     pred.add_argument("--outcome", required=True)
     pred.add_argument("--trials", default=None)
-    _add_family_flags(pred, required=True)
+    _add_family_flags(pred, default=None)  # default: the family recorded with the draws
     pred.add_argument("--out-dir", required=True)
     pred.set_defaults(func=cmd_predict)
 
@@ -652,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     cv.add_argument("--outcome", required=True)
     cv.add_argument("--trials", default=None)
     cv.add_argument("--covariates", default=None)
-    _add_family_flags(cv, required=False)
+    _add_family_flags(cv)
     _add_sampler_flags(cv)
     cv.add_argument("--splits", type=int, required=True)
     cv.add_argument("--test-share", type=float, default=0.15)
@@ -663,9 +540,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        for flag in ("chains", "r", "splits", "replicates"):  # counts, on any subcommand
+            value = getattr(args, flag, None)
+            if value is not None and value < 1:
+                raise CliError(EXIT_VALIDATION, f"--{flag} must be >= 1, got {value}")
         return args.func(args)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)

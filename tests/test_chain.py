@@ -95,13 +95,12 @@ def test_run_chain_is_deterministic():
 
 def test_output_shapes_and_bookkeeping():
     data = _dataset(n=40, p=4)
-    cfg = ChainConfig(n_iter=500, burn_in=200, thin=3, seed=1, store_z=True)
+    cfg = ChainConfig(n_iter=500, burn_in=200, thin=3, seed=1)
     out = run_chain(data, _prior(data), cfg)
     kept = len(range(200, 500, 3))
     assert out.draws.n_kept == kept
     assert out.draws.alpha.shape == (kept,)
     assert out.draws.beta.shape == (kept, 4)
-    assert out.draws.z.shape == (kept, 40)
     assert out.pip.shape == (4,)
     assert np.all((out.pip >= 0) & (out.pip <= 1))
     assert out.model_size_counts.sum() == kept
@@ -311,7 +310,6 @@ def test_summarize_top_models_and_sizes():
         g=np.full(kept, 9.0),
         included=incl,
         beta=np.where(incl, rng.normal(size=(kept, p)), 0.0),
-        z=None,
     )
     from ullgm.chain import summarize
 

@@ -2,11 +2,17 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ullgm.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _read_csv(path):
@@ -136,6 +142,41 @@ def test_fit_validation_exit_codes(tmp_path):
     args = _fit_args(inp, out)
     args[args.index("pln")] = "nbl"
     assert main(args) == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "--input", "{data}", "--outcome", "count", "--chains", "0"],
+        ["fit", "--input", "{data}", "--outcome", "count", "--family", "nbl", "--r", "0"],
+        ["cv", "--input", "{data}", "--outcome", "count", "--splits", "0"],
+        ["simulate", "--n", "40", "--p", "5"],
+        ["simulate", "--n", "40", "--p", "10", "--run", "--replicates", "0"],
+    ],
+    ids=["chains", "r", "splits", "p", "replicates"],
+)
+def test_bad_counts_are_validation_errors(tmp_path, capsys, argv):
+    inp = _write_counts_csv(tmp_path / "d.csv")
+    argv = [a.format(data=inp) for a in argv]
+    argv += ["--iters", "40", "--burnin", "20", "--out-dir", str(tmp_path / "run")]
+    assert main(argv) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_process_exit_status_follows_main(tmp_path):
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=str(SRC) + (os.pathsep + path if path else ""))
+
+    def run(argv):
+        cmd = [sys.executable, "-m", "ullgm.cli", *argv]
+        return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+
+    ok = run(["fit", "--help"])
+    assert ok.returncode == EXIT_OK and "--chains" in ok.stdout
+    inp = _write_counts_csv(tmp_path / "d.csv")
+    bad = run(_fit_args(inp, tmp_path / "run", ("--chains", "0")))
+    assert bad.returncode == EXIT_VALIDATION
+    assert bad.stderr.startswith("error: ") and "Traceback" not in bad.stderr
 
 
 def test_fit_io_failures(tmp_path):
@@ -274,6 +315,46 @@ def test_predict_and_cv(tmp_path):
     vals = np.array([float(r[2]) for r in rows[:3]])
     np.testing.assert_allclose(float(rows[3][2]), vals.mean(), rtol=1e-9)
     np.testing.assert_allclose(float(rows[4][2]), np.median(vals), rtol=1e-9)
+
+
+def test_predict_recovers_nbl_family_from_the_manifest(tmp_path):
+    inp = _write_counts_csv(tmp_path / "d.csv", n=90)
+    fit_out = tmp_path / "fit"
+    args = _fit_args(inp, fit_out, ("--r", "2", "--save-draws"))
+    args[args.index("pln")] = "nbl"
+    assert main(args) == EXIT_OK
+    hold = _write_counts_csv(tmp_path / "h.csv", n=20, seed=1)
+
+    def predict(name, extra=()):
+        out = tmp_path / name
+        argv = [
+            "predict",
+            "--input", str(hold),
+            "--outcome", "count",
+            "--draws", str(fit_out),
+            "--out-dir", str(out),
+            *extra,
+        ]
+        return main(argv), out / "predictions.csv"
+
+    code, recovered = predict("recovered")
+    assert code == EXIT_OK
+    code, flagged = predict("flagged", ("--family", "nbl", "--r", "2"))
+    assert code == EXIT_OK
+    assert recovered.read_bytes() == flagged.read_bytes()
+    # the family matters: the same draws score differently as pln
+    code, as_pln = predict("as_pln", ("--family", "pln"))
+    assert code == EXIT_OK and as_pln.read_bytes() != recovered.read_bytes()
+
+    manifest = fit_out / "manifest.json"
+    man = json.loads(manifest.read_text())
+    for family, r, code in (("nbl", 0, EXIT_VALIDATION), ("zz", 2, EXIT_VALIDATION)):
+        man["config"].update(family=family, r=r)
+        manifest.write_text(json.dumps(man))
+        assert predict(f"{family}{r}")[0] == code, (family, r)
+    del man["config"]["family"]
+    manifest.write_text(json.dumps(man))
+    assert predict("lost")[0] == EXIT_IO
 
 
 def test_predict_missing_training_covariate(tmp_path):

@@ -120,7 +120,6 @@ def test_far_tail_hits_floor_and_flags():
         g=np.array([10.0]),
         included=np.zeros((1, 2), dtype=bool),
         beta=np.zeros((1, 2)),
-        z=None,
     )
     from ullgm.core import Dataset
 
@@ -141,7 +140,6 @@ def test_lps_averages_over_draws_before_logging():
         g=np.full(S, 20.0),
         included=incl,
         beta=rng.normal(0.0, 0.1, size=(S, p)),
-        z=None,
     )
     from ullgm.core import Dataset
 
@@ -177,7 +175,6 @@ def test_single_draw_lps_is_minus_log_pmf():
         g=np.array([5.0]),
         included=np.ones((1, 1), dtype=bool),
         beta=np.array([[0.3]]),
-        z=None,
     )
     from ullgm.core import Dataset
 
@@ -211,7 +208,6 @@ def _random_draws(rng, S, p):
         g=np.full(S, 50.0),
         included=np.ones((S, p), dtype=bool),
         beta=rng.normal(0.0, 0.3, size=(S, p)),
-        z=None,
     )
 
 
@@ -334,7 +330,6 @@ def test_impossible_and_overflowing_rows_hit_the_floor():
         g=np.full(3, 10.0),
         included=np.zeros((3, 1), dtype=bool),
         beta=np.zeros((3, 1)),
-        z=None,
     )
     holdout = Dataset(y=[1.0], X=np.zeros((1, 1)), family=PLN)
     with np.errstate(over="ignore", invalid="raise"):
@@ -377,7 +372,6 @@ def _chunk_case(rng, S):
         g=np.full(S, 50.0),
         included=np.ones((S, 1), dtype=bool),
         beta=rng.normal(1.0, 0.01, size=(S, 1)),
-        z=None,
     )
     x = np.array([0.0, 10.0, np.log(3.0), -30.0, 2.0, 0.0, 1.0])
     y = np.array([1.0, 0.0, 3.0, 5000.0, 7.0, 0.0, 2.0])

@@ -133,7 +133,6 @@ def _fake_output(incl, g_mean=50.0, sigma2_mean=0.2):
         g=np.full(kept, g_mean),
         included=incl,
         beta=np.where(incl, 0.5, 0.0),
-        z=None,
     )
     return summarize(draws, np.zeros(p), 0.3, np.nan, 0.5)
 
@@ -191,5 +190,7 @@ def test_sim_config_validation():
         SimConfig(n=10, p=12, dgp="nope")
     with pytest.raises(ValueError):
         SimConfig(n=0, p=12)
+    with pytest.raises(ValueError, match="need p >= 10"):
+        SimConfig(n=10, p=9)
     with pytest.raises(ValueError):
         SimConfig(n=10, p=12, rho=1.5)
