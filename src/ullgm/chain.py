@@ -120,6 +120,11 @@ class ChainOutput:
     accept_model: float
     accept_g: float
     accept_latent: float
+    # Adapted proposal scales at the end of the run: the latent step sizes
+    # exp(log_step), one per observation and chain, and the g proposal sd
+    # averaged over chains (nan when g is fixed).
+    latent_step: np.ndarray | None = None
+    g_step_sd: float = np.nan
 
     @property
     def n_kept(self) -> int:
@@ -158,6 +163,8 @@ def summarize(
     accept_model: float = np.nan,
     accept_g: float = np.nan,
     accept_latent: float = np.nan,
+    latent_step: np.ndarray | None = None,
+    g_step_sd: float = np.nan,
 ) -> ChainOutput:
     S, p = draws.included.shape
     pip = draws.included.mean(axis=0)
@@ -187,6 +194,8 @@ def summarize(
         accept_model=accept_model,
         accept_g=accept_g,
         accept_latent=accept_latent,
+        latent_step=latent_step,
+        g_step_sd=g_step_sd,
     )
 
 
@@ -261,7 +270,7 @@ def run_chain(data: Dataset, prior: PriorConfig, config: ChainConfig) -> ChainOu
         z, lat_accepted, lik = update_all_latents(
             z, lik, y, trials, linpred, sigma2, data.family, adapt_z, rng
         )
-        acc_latent += lat_accepted.mean()
+        acc_latent += np.count_nonzero(lat_accepted) / n
 
         if not (np.isfinite(alpha) and np.isfinite(sigma2) and sigma2 > 0 and np.isfinite(g)):
             raise RuntimeError(f"non-finite sampler state at iteration {t}")
@@ -283,6 +292,8 @@ def run_chain(data: Dataset, prior: PriorConfig, config: ChainConfig) -> ChainOu
         accept_model=acc_model / config.n_iter,
         accept_g=acc_g / config.n_iter if hyper else np.nan,
         accept_latent=acc_latent / config.n_iter,
+        latent_step=np.exp(adapt_z.log_step),
+        g_step_sd=adapt_g.step_sd() if hyper else np.nan,
     )
 
 
@@ -305,4 +316,6 @@ def run_chains(
         accept_model=float(np.mean([o.accept_model for o in outs])),
         accept_g=float(np.mean([o.accept_g for o in outs])),
         accept_latent=float(np.mean([o.accept_latent for o in outs])),
+        latent_step=np.concatenate([o.latent_step for o in outs]),
+        g_step_sd=float(np.mean([o.g_step_sd for o in outs])),
     )

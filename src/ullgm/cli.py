@@ -232,9 +232,12 @@ def cmd_fit(args: argparse.Namespace) -> int:
     eff_mean = shift + scale * out.col_means
     # Acceptance rates averaged over all iterations and chains (accept_g is
     # nan when g is fixed), the number of distinct inclusion patterns among
-    # the kept draws, and effective sample sizes summed over chains (ess_log_g
-    # is nan when g is fixed).
+    # the kept draws, effective sample sizes summed over chains (ess_log_g
+    # is nan when g is fixed), and the final proposal scales: quantiles of
+    # the latent step sizes pooled over chains and the g proposal sd (nan
+    # when g is fixed).
     fixed_g = np.isnan(out.accept_g)
+    step_q = np.quantile(out.latent_step, [0.05, 0.5, 0.95])
     files = [
         _write_csv(
             args.out_dir,
@@ -279,6 +282,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
                 ("ess_sigma2", pooled_ess(d.sigma2, args.chains)),
                 ("ess_log_g", np.nan if fixed_g else pooled_ess(np.log(d.g), args.chains)),
                 ("ess_model_size", pooled_ess(d.included.sum(axis=1), args.chains)),
+                ("latent_step_q05", step_q[0]),
+                ("latent_step_q50", step_q[1]),
+                ("latent_step_q95", step_q[2]),
+                ("g_step_sd", out.g_step_sd),
             ],
         ),
     ]
@@ -342,6 +349,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 if r == 0
                 else gen_dataset(sim, np.random.default_rng((args.seed, r)))
             )
+            data = _validated_dataset(data.y, data.X, data.family, data.trials)
             rep = metrics(_run(args, data, args.seed + r), truth)
             rows.append([str(r), *astuple(rep), round(time.monotonic() - tr0, 3)])
         columns = zip(*(row[1:] for row in rows))  # the metrics, then seconds
@@ -419,6 +427,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def cmd_cv(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
+    if not 0.0 < args.test_share < 1.0:
+        raise CliError(EXIT_VALIDATION, f"--test-share must lie in (0, 1), got {args.test_share}")
     family = _family(args.family, args.r)
     names, X_raw, y, trials = _load_table(args, family)
     n = y.shape[0]

@@ -22,6 +22,16 @@ for the next sweep; only the Gaussian term is recomputed at the current z.
 The carried pair is valid only for the y and trials it was computed with:
 re-evaluate it with loglik_value_grad whenever the outcomes or the trials
 change, and whenever z is set other than by a sweep.
+
+The selects on the sweep's random masks (direction, acceptance) are
+branch-free. np.where branches once per element, and on a fresh random
+mask the CPU mispredicts about half of those branches: at n = 5000 one
+np.where took 38 us on a random mask against 10 us on an all-true mask
+(2-vCPU Xeon, numpy 2.4). Each select is replaced by an exact form: the
+direction is xi times +-1.0, the new z is z + d * accepted (z_prop = z + d),
+and the carried likelihood pair is selected on its int64 bits (_select).
+The RNG calls and every float are as with np.where, save that a rejected
+z of -0.0 may come back as the equal +0.0.
 """
 
 from __future__ import annotations
@@ -67,6 +77,25 @@ def conditional_value_grad(lik, z, linpred, sigma2):
     return v - resid * resid / (2.0 * sigma2), gr - resid / sigma2
 
 
+def _select(mask, new, old):
+    """(np.where(mask, a, b) for a, b in zip(new, old)), bit for bit, branch-free.
+
+    The float64 pairs are selected on their int64 views as b ^ ((a ^ b) & m),
+    m all ones where mask holds: the same bits as np.where, -inf, nan and
+    -0.0 included, where an arithmetic blend would turn a rejected -inf
+    into nan.
+    """
+    m = -mask.view(np.int8).astype(np.int64)
+    out = []
+    for a, b in zip(new, old):
+        bits = b.view(np.int64)
+        sel = np.bitwise_xor(a.view(np.int64), bits)
+        sel &= m
+        sel ^= bits
+        out.append(sel.view(np.float64))
+    return tuple(out)
+
+
 def barker_step(z, lik, step, linpred, sigma2, loglik, rng: np.random.Generator):
     """One Barker update of the array z under loglik + log N(linpred, sigma2).
 
@@ -87,15 +116,15 @@ def barker_step(z, lik, step, linpred, sigma2, loglik, rng: np.random.Generator)
         # e: -d g0 is +-(xi g0) exactly, so its absolute value is |xi g0|.
         a = xi * g0h
         e = np.exp(-np.abs(a))
-        d = np.where(u_dir < np.where(a >= 0, 1.0, e) / (1.0 + e), xi, -xi)
+        # logistic(a) = where(a >= 0, 1, e) / (1 + e), and e <= 1
+        d = xi * ((u_dir < np.maximum(e, a >= 0) / (1.0 + e)) * 2.0 - 1.0)
         z_prop = z + d
         lik1 = loglik(z_prop)
         v1, g1 = conditional_value_grad(lik1, z_prop, linpred, sigma2)
         g1h = np.where(np.isfinite(g1), g1, 0.0)
         log_acc = (v1 - v0) + (np.maximum(-d * g0h, 0.0) + np.log1p(e)) - softplus(d * g1h)
         accepted = np.log(rng.random(n)) < log_acc  # NaN rejects
-    lik_out = (np.where(accepted, lik1[0], lik[0]), np.where(accepted, lik1[1], lik[1]))
-    return np.where(accepted, z_prop, z), accepted, lik_out
+    return z + d * accepted, accepted, _select(accepted, lik1, lik)
 
 
 def update_all_latents(

@@ -35,11 +35,12 @@ def softplus_expit(z):
 
     logistic(z) = where(z >= 0, 1, e) / (1 + e) with e = exp(-|z|), which
     agrees with scipy's expit to a few ulp and keeps the denormal tail that
-    expit rounds to 0 (logistic(-745) is 4.9e-324 here, 0 in scipy).
+    expit rounds to 0 (logistic(-745) is 4.9e-324 here, 0 in scipy). As
+    e <= 1, the select is formed as maximum(e, z >= 0), without a branch.
     """
     z = np.asarray(z, dtype=np.float64)
     e = np.exp(-np.abs(z))
-    return np.maximum(z, 0.0) + np.log1p(e), np.where(z >= 0, 1.0, e) / (1.0 + e)
+    return np.maximum(z, 0.0) + np.log1p(e), np.maximum(e, z >= 0) / (1.0 + e)
 
 
 def _as_float_arrays(*xs):

@@ -36,14 +36,16 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.dgp not in DGP_NAMES:
             raise ValueError(f"unknown dgp {self.dgp!r}")
-        if self.n < 1:
-            raise ValueError("n must be positive")
+        if self.n < 2:
+            raise ValueError("n must be >= 2")
         if self.p < BETA_PATTERN.shape[0]:
             raise ValueError(f"need p >= {BETA_PATTERN.shape[0]}")
         if not (-1.0 < self.rho < 1.0):
             raise ValueError("rho must lie in (-1, 1)")
         if self.dgp == "ullgm" and not (self.sigma2 > 0):
             raise ValueError("ullgm dgp needs sigma2 > 0")
+        if self.family.name == "bil" and self.trials_count < 1:
+            raise ValueError("bil needs trials_count >= 1")
 
 
 @dataclass(frozen=True)

@@ -60,10 +60,13 @@ def test_fit_writes_expected_files(tmp_path):
     assert set(stats) == {
         "accept_model", "accept_g", "accept_latent", "distinct_models",
         "ess_alpha", "ess_sigma2", "ess_log_g", "ess_model_size",
+        "latent_step_q05", "latent_step_q50", "latent_step_q95", "g_step_sd",
     }
     assert 0.0 < stats["accept_latent"] < 1.0 and 0.0 <= stats["accept_model"] <= 1.0
     # g = n here, so it has no chain to mix
     assert np.isnan(stats["accept_g"]) and np.isnan(stats["ess_log_g"])
+    assert np.isnan(stats["g_step_sd"])
+    assert 0.0 < stats["latent_step_q05"] <= stats["latent_step_q50"] <= stats["latent_step_q95"]
     assert stats["ess_alpha"] > 0.0 and stats["ess_sigma2"] > 0.0
     # with four covariates every visited pattern fits in top_models.csv
     _, top_rows = _read_csv(out / "top_models.csv")
@@ -106,6 +109,7 @@ def test_fit_ess_matches_the_benchmark_estimator(tmp_path):
     for name, value in want.items():
         assert value > 0.0, name
         np.testing.assert_allclose(stats[name], value, rtol=1e-12, err_msg=name)
+    assert np.isfinite(stats["g_step_sd"]) and stats["g_step_sd"] > 0.0
 
 
 def test_fit_outputs_reproducible(tmp_path):
@@ -152,8 +156,12 @@ def test_fit_validation_exit_codes(tmp_path):
         ["cv", "--input", "{data}", "--outcome", "count", "--splits", "0"],
         ["simulate", "--n", "40", "--p", "5"],
         ["simulate", "--n", "40", "--p", "10", "--run", "--replicates", "0"],
+        ["simulate", "--n", "1", "--p", "10", "--run"],
+        ["simulate", "--n", "40", "--p", "10", "--family", "bil", "--trials-count", "0"],
+        ["cv", "--input", "{data}", "--outcome", "count", "--splits", "1", "--test-share", "-1"],
+        ["cv", "--input", "{data}", "--outcome", "count", "--splits", "1", "--test-share", "1"],
     ],
-    ids=["chains", "r", "splits", "p", "replicates"],
+    ids=["chains", "r", "splits", "p", "replicates", "n", "trials-count", "test-share", "test-share-1"],
 )
 def test_bad_counts_are_validation_errors(tmp_path, capsys, argv):
     inp = _write_counts_csv(tmp_path / "d.csv")
@@ -256,6 +264,14 @@ def test_simulate_run_writes_metrics(tmp_path):
     assert [r[0] for r in rows] == ["0", "1", "aggregate"]
     sizes = [float(r[1]) for r in rows]
     np.testing.assert_allclose(sizes[2], np.mean(sizes[:2]), rtol=1e-12)
+
+
+def test_simulate_run_rejects_a_replicate_the_sampler_cannot_fit(tmp_path, capsys):
+    # with one trial per observation no outcome lies strictly inside (0, N)
+    argv = ["simulate", "--n", "2", "--p", "10", "--family", "bil", "--trials-count", "1"]
+    argv += ["--run", "--iters", "40", "--burnin", "20", "--out-dir", str(tmp_path / "sim")]
+    assert main(argv) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: dataset rejected")
 
 
 def test_simulate_glm_records_zero_sigma2(tmp_path):

@@ -9,6 +9,7 @@ from ullgm.core import BIL, PLN, nbl
 from ullgm.latent import (
     BARKER_TARGET_ACC,
     LatentAdaptState,
+    _select,
     barker_step,
     conditional_value_grad,
     update_all_latents,
@@ -186,6 +187,22 @@ def test_infinite_target_value_rejects_without_nan():
     for _ in range(50):
         z, _, lik = update_all_latents(z, lik, y, None, lin, 1.0, PLN, adapt, rng)
         assert np.all(np.isfinite(z))
+
+
+def test_select_matches_where_bit_for_bit():
+    # the carried-likelihood select must keep every bit np.where keeps,
+    # including the -inf value and gradient of a rejected pln proposal
+    rng = np.random.default_rng(13)
+    special = np.array([-np.inf, np.inf, np.nan, -0.0, 0.0, 5e-324, -5e-324, 1.5, -2.25e300])
+    for n in (1, 7, 300, 5000):
+        a = np.where(rng.random(n) < 0.5, rng.choice(special, n), rng.normal(size=n))
+        b = np.where(rng.random(n) < 0.5, rng.choice(special, n), rng.normal(scale=1e3, size=n))
+        for share in (0.0, 0.57, 1.0):
+            mask = rng.random(n) < share
+            got = _select(mask, (a, b), (b, a))
+            for out, want in zip(got, (np.where(mask, a, b), np.where(mask, b, a))):
+                assert out.dtype == np.float64
+                np.testing.assert_array_equal(out.view(np.int64), want.view(np.int64))
 
 
 def _two_evaluation_loglik(fam, y, z, trials):

@@ -190,6 +190,10 @@ def test_sim_config_validation():
         SimConfig(n=10, p=12, dgp="nope")
     with pytest.raises(ValueError):
         SimConfig(n=0, p=12)
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        SimConfig(n=1, p=12)
+    with pytest.raises(ValueError, match="trials_count"):
+        SimConfig(n=10, p=12, family=BIL, trials_count=0)
     with pytest.raises(ValueError, match="need p >= 10"):
         SimConfig(n=10, p=9)
     with pytest.raises(ValueError):
