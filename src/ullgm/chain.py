@@ -31,6 +31,7 @@ from .core import (
     PriorConfig,
     StructuralError,
     center_design,
+    inclusion_bits,
     validate_dataset,
 )
 from .g_sampler import GAdaptState, hyper_g_over_n_ppf, mh_update_g
@@ -176,10 +177,7 @@ def summarize(
     size_counts = np.bincount(sizes, minlength=p + 1)
     patterns, counts = np.unique(draws.included, axis=0, return_counts=True)
     order = np.argsort(-counts, kind="stable")
-    top = [
-        ("".join("1" if b else "0" for b in patterns[i]), float(counts[i]) / S)
-        for i in order
-    ]
+    top = [(inclusion_bits(patterns[i]), float(counts[i]) / S) for i in order]
     return ChainOutput(
         pip=pip,
         beta_mean=beta_mean,
@@ -205,16 +203,15 @@ def run_chain(data: Dataset, prior: PriorConfig, config: ChainConfig) -> ChainOu
         exc = StructuralError if report.code == "structural" else PosteriorImproprietyRisk
         raise exc(report.message)
     n, p = data.n, data.p
-    if not prior.model_size < p:
-        raise ValueError(f"model_size must be < p = {p}")
+    params = ModelPriorParams.from_expected_size(p, prior.model_size)
 
     design = center_design(data.X)
     cache = SuffStatsCache(design)
-    params = ModelPriorParams.from_expected_size(p, prior.model_size)
     rng = np.random.default_rng(config.seed)
     hyper = isinstance(prior.gprior, HyperGOverN)
 
     M, state = init_chain(data, prior, config)
+    cache.chol(M)  # M is the held model from here on
     z, alpha, sigma2, g = state.z.copy(), state.alpha, state.sigma2, state.g
     beta_full = state.beta.copy()
 

@@ -336,22 +336,23 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except ValueError as e:
         raise CliError(EXIT_VALIDATION, str(e)) from None
 
-    os.makedirs(args.out_dir, exist_ok=True)
     data0, truth0, _ = gen_dataset(sim, np.random.default_rng((args.seed, 0)))
-    files = _write_sim_dataset(args.out_dir, data0, truth0)
+    rows = []
+    for r in range(args.replicates if args.run else 0):
+        tr0 = time.monotonic()
+        data, truth, _ = (
+            (data0, truth0, None)
+            if r == 0
+            else gen_dataset(sim, np.random.default_rng((args.seed, r)))
+        )
+        data = _validated_dataset(data.y, data.X, data.family, data.trials)
+        rep = metrics(_run(args, data, args.seed + r), truth)
+        rows.append([str(r), *astuple(rep), round(time.monotonic() - tr0, 3)])
 
+    # nothing is written until every replicate has been fitted
+    os.makedirs(args.out_dir, exist_ok=True)
+    files = _write_sim_dataset(args.out_dir, data0, truth0)
     if args.run:
-        rows = []
-        for r in range(args.replicates):
-            tr0 = time.monotonic()
-            data, truth, _ = (
-                (data0, truth0, None)
-                if r == 0
-                else gen_dataset(sim, np.random.default_rng((args.seed, r)))
-            )
-            data = _validated_dataset(data.y, data.X, data.family, data.trials)
-            rep = metrics(_run(args, data, args.seed + r), truth)
-            rows.append([str(r), *astuple(rep), round(time.monotonic() - tr0, 3)])
         columns = zip(*(row[1:] for row in rows))  # the metrics, then seconds
         rows.append(["aggregate", *(float(np.mean(col)) for col in columns)])
         files.append(

@@ -5,7 +5,7 @@ The model layer works with a latent Gaussian regression
 observed only through a counting likelihood attached to z_i. Everything
 downstream (marginal likelihoods, model moves, latent updates) assumes the
 covariates have been mean-centered, so centering lives here next to the
-validation rules that make the posterior proper.
+dataset validation rules.
 """
 
 from __future__ import annotations
@@ -107,11 +107,15 @@ class ValidationReport:
 def validate_dataset(d: Dataset) -> ValidationReport:
     """Check shapes, finiteness and the outcome-count conditions.
 
-    The count conditions are what keeps the posterior proper under the
-    improper (alpha, sigma2) prior: at least two informative outcomes are
-    needed so the latent layer cannot drift. PLN/NBL need two nonzero
-    counts; bil needs two observations strictly between 0 and the number
-    of trials.
+    The count conditions rule out data with fewer than two informative
+    outcomes: PLN/NBL need two nonzero counts; bil needs two observations
+    strictly between 0 and the number of trials. They do not make the
+    posterior proper. Under the flat alpha and p(sigma2) ~ 1/sigma2 prior,
+    beta's prior shrinks to 0 as sigma2 -> 0 with g fixed, so the (alpha,
+    sigma2) posterior tends to L(alpha) / sigma2 there, L the null GLM
+    likelihood, and its integral near sigma2 = 0 diverges whatever the
+    counts. The tail's height is L relative to the fit, so it shows only on
+    weak data.
     """
 
     def bad(code: str, msg: str) -> ValidationReport:
@@ -237,7 +241,12 @@ class ModelIndicator:
         return ModelIndicator(inc)
 
     def bits(self) -> str:
-        return "".join("1" if b else "0" for b in self.included)
+        return inclusion_bits(self.included)
+
+
+def inclusion_bits(included) -> str:
+    """An inclusion pattern as a string of 0s and 1s, one per covariate."""
+    return "".join("1" if b else "0" for b in included)
 
 
 @dataclass(frozen=True)
@@ -264,14 +273,17 @@ class HyperGOverN:
 
 @dataclass(frozen=True)
 class PriorConfig:
-    """g-prior choice plus the prior expected number of included covariates."""
+    """g-prior choice plus the prior expected number of included covariates.
+
+    run_chain checks model_size < p against the data, through
+    ModelPriorParams.from_expected_size."""
 
     gprior: FixedG | HyperGOverN
     model_size: float
 
     def __post_init__(self) -> None:
         if not (self.model_size > 0 and np.isfinite(self.model_size)):
-            raise ValueError("model_size must be positive (and < p)")
+            raise ValueError("model_size must be positive and finite")
 
 
 @dataclass(frozen=True)

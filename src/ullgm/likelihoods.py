@@ -1,16 +1,17 @@
 """Counting likelihoods on top of the latent Gaussian layer.
 
-All three families share the pattern log f(y | z) = a(y) + y-linear term in z
-minus a convex partition term, which keeps both the log pmf and its gradient
-in z cheap and overflow-safe:
+Every family is a concave kernel in z plus z-free constants:
 
-    pln:  y z - exp(z) - ln Gamma(y+1)                    (lambda = e^z)
-    bil:  ln C(N, y) + y z - N softplus(z)                (pi = logistic(z))
-    nbl:  ln C(r+y-1, y) + r z - (r+y) softplus(z)        (pi = logistic(z))
+    pln:       y z - exp(z) - ln Gamma(y+1)           (lambda = e^z)
+    bil, nbl:  a z - N softplus(z) + const            (pi = logistic(z))
+        bil:  (a, N) = (y, trials),  const = ln C(N, y)
+        nbl:  (a, N) = (r, r + y),   const = ln C(r+y-1, y)
 
-softplus and the logistic function are both built from e = exp(-|z|), so
-|z| in the hundreds does not overflow and the logit families pay for one
-exponential per element.
+logit_counts gives a logit family's (a, N), so the value, gradient and
+curvature below and the predictive anchor share one kernel; only log_pmf's
+constants are per family. softplus and the logistic function are both built
+from e = exp(-|z|), so |z| in the hundreds does not overflow and the logit
+families pay for one exponential per element.
 """
 
 from __future__ import annotations
@@ -57,6 +58,19 @@ def _maybe_scalar(a: np.ndarray):
     return float(a) if a.ndim == 0 else a
 
 
+def logit_counts(family: FamilyTag, y, trials=None):
+    """(a, N) of a logit family's kernel a z - N softplus(z): (y, trials)
+    for bil, (r, r + y) for nbl (r successes out of r + y trials)."""
+    if family.name == "bil":
+        if trials is None:
+            raise ValueError("bil needs trials")
+        return y, trials
+    if family.name == "nbl":
+        r = float(family.r)
+        return r, r + y
+    raise ValueError(f"{family.name} has no logit kernel")
+
+
 def log_pmf(family: FamilyTag, y, z, trials=None):
     """log f(y | z) for the given family; vectorized over y/z/trials.
 
@@ -70,24 +84,16 @@ def log_pmf(family: FamilyTag, y, z, trials=None):
         const = np.where(y < 0, -np.inf, -gammaln(y + 1.0))
         out = y * z
         out -= np.exp(z)
-    elif family.name == "bil":
-        if trials is None:
-            raise ValueError("bil log_pmf needs trials")
-        (N,) = _as_float_arrays(trials)
-        const = gammaln(N + 1.0) - gammaln(y + 1.0) - gammaln(N - y + 1.0)
-        const = np.where((y < 0) | (y > N), -np.inf, const)
-        out = softplus(_broadcast_z(z, y, N))
+    else:
+        a, N = _as_float_arrays(*logit_counts(family, y, trials))
+        if family.name == "bil":
+            const = gammaln(N + 1.0) - gammaln(y + 1.0) - gammaln(N - y + 1.0)
+            const = np.where((y < 0) | (y > N), -np.inf, const)
+        else:
+            const = np.where(y < 0, -np.inf, gammaln(N) - gammaln(y + 1.0) - gammaln(a))
+        out = softplus(_broadcast_z(z, a, N))
         out *= -N
-        out += y * z
-    elif family.name == "nbl":
-        r = float(family.r)
-        const = gammaln(r + y) - gammaln(y + 1.0) - gammaln(r)
-        const = np.where(y < 0, -np.inf, const)
-        out = softplus(_broadcast_z(z, y))
-        out *= -(r + y)
-        out += r * z
-    else:  # pragma: no cover
-        raise ValueError(family.name)
+        out += a * z
     out += const
     return _maybe_scalar(out)
 
@@ -104,38 +110,28 @@ def loglik_value_grad(family: FamilyTag, y, z, trials=None):
     if family.name == "pln":
         ez = np.exp(z)
         return y * z - ez, y - ez
-    if family.name == "bil":
-        sp, sig = softplus_expit(z)
-        return y * z - trials * sp, y - trials * sig
-    if family.name == "nbl":
-        r = float(family.r)
-        sp, sig = softplus_expit(z)
-        return r * z - (r + y) * sp, r - (r + y) * sig
-    raise ValueError(family.name)  # pragma: no cover
+    a, N = logit_counts(family, y, trials)
+    sp, sig = softplus_expit(z)
+    return a * z - N * sp, a - N * sig
 
 
 def loglik_grad_curvature(family: FamilyTag, y, z, trials=None):
     """z-gradient and second z-derivative of log f(y | z).
 
-    The curvature is negative, so log f is concave in z: pln -e^z; bil
-    -N s(1 - s); nbl -(r + y) s(1 - s), with s = logistic(z). This serves
-    the predictive quadrature's Newton steps, whose arrays are row chunks of
-    (holdout points x draws) linear predictors, about a thousand elements,
-    with y and trials as (rows, 1) columns. There per-call cost outweighs
-    per-element cost, so s comes from one call to scipy's expit rather than
-    from softplus_expit.
+    The curvature is negative, so log f is concave in z: pln -e^z, the logit
+    families -N s(1 - s) with s = logistic(z). This serves the predictive
+    quadrature's Newton steps, whose arrays are row chunks of (holdout
+    points x draws) linear predictors, about a thousand elements, with y and
+    trials as (rows, 1) columns. There per-call cost outweighs per-element
+    cost, so s comes from one call to scipy's expit rather than from
+    softplus_expit.
     """
     if family.name == "pln":
         ez = np.exp(z)
         return y - ez, -ez
+    a, N = logit_counts(family, y, trials)
     sig = expit(z)
-    w = sig * (1.0 - sig)
-    if family.name == "bil":
-        return y - trials * sig, -trials * w
-    if family.name == "nbl":
-        r = float(family.r)
-        return r - (r + y) * sig, -(r + y) * w
-    raise ValueError(family.name)  # pragma: no cover
+    return a - N * sig, -N * (sig * (1.0 - sig))
 
 
 def pln_moments(linpred, sigma2):

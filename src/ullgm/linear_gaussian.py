@@ -114,11 +114,13 @@ class SuffStatsCache:
         swap j -> i:  delete j, then add i with d_i + q^2/a and
                       c_i + q bhat_j / a, where q = Q_ji and a = A^{-1}_jj
 
-    The methods that take a model answer in closed form for the held model
-    or a one-move neighbour and re-anchor (hold that model) otherwise.
-    Nothing is cached per inclusion pattern, so memory stays flat however
-    long the chain runs; the class keeps its name and these method names
-    because perfbench/tracing.py wraps them.
+    The methods that take a model (r2, log_marginal, light_stats,
+    has_full_rank, sample_beta) hold it through `chol` and read the held
+    state; the chain passes the held model, for which `chol` is a no-op.
+    Neighbours are asked about only through `move_ess` and
+    `move_log_marginal`. Nothing is cached per inclusion pattern, so memory
+    stays flat however long the chain runs; the class keeps its name and
+    these method names because perfbench/tracing.py wraps them.
     """
 
     def __init__(self, design: CenteredDesign):
@@ -211,20 +213,6 @@ class SuffStatsCache:
     def _r2(self, ess: float) -> float:
         return float(min(max(ess / self.tss, 0.0), R2_CEIL))
 
-    def _ess(self, M: ModelIndicator) -> float | None:
-        # In closed form when M is the held model or one move from it;
-        # otherwise M is held first.
-        held = self.held
-        if M is not held:
-            diff = np.flatnonzero(M.included != held.included).tolist()
-            drops = [j for j in diff if held.included[j]]
-            adds = [j for j in diff if not held.included[j]]
-            if len(drops) <= 1 and len(adds) <= 1:
-                return self.move_ess(drops[0] if drops else None, adds[0] if adds else None)
-            if self.chol(M) is None:
-                return None
-        return self.ess
-
     def chol(self, M: ModelIndicator) -> np.ndarray | None:
         """Holds M, rebuilding the state unless M is already held, and
         returns its Cholesky factor; None, with the held model unchanged,
@@ -242,7 +230,8 @@ class SuffStatsCache:
         return self.L
 
     def has_full_rank(self, M: ModelIndicator) -> bool:
-        return self._ess(M) is not None
+        """Whether X_k'X_k of M has full rank; M is held when it does."""
+        return self.chol(M) is not None
 
     def _r2_and_w(self, M: ModelIndicator) -> tuple[float, np.ndarray]:
         """(r2, bhat) of M, which is held first. perfbench/tracing.py wraps
@@ -252,10 +241,7 @@ class SuffStatsCache:
         return self._r2(self.ess), self.bhat
 
     def r2(self, M: ModelIndicator) -> float:
-        ess = self._ess(M)
-        if ess is None:
-            raise np.linalg.LinAlgError("rank-deficient model")
-        return self._r2(ess)
+        return self._r2_and_w(M)[0]
 
     def log_marginal(self, M: ModelIndicator, g: float) -> float:
         return log_marginal(self.r2(M), self.tss, M.p_k, self.n, g)

@@ -36,7 +36,7 @@ import numpy as np
 
 from .chain import DrawStore
 from .core import Dataset, FamilyTag
-from .likelihoods import log_pmf, loglik_grad_curvature
+from .likelihoods import log_pmf, logit_counts, loglik_grad_curvature
 
 QUAD_ORDER = 16
 _GH_T, _GH_W = np.polynomial.hermite.hermgauss(QUAD_ORDER)
@@ -80,16 +80,16 @@ def approx_z_moments(y, trials, linpred, sigma2, family: FamilyTag) -> ZApproxMo
 
     The start is a precision-weighted combination of a likelihood anchor and
     the prior: pln anchors at log y (with y=0 nudged to 0.5, precision y');
-    the logit families anchor at logit(p_hat) with binomial curvature
-    N p(1-p); nbl is folded into the bil form with N' = y + r and
-    p_hat = r / (y + r). Where data and prior disagree that start can sit
-    many sds from the mode, so Newton steps on the log integrand, which is
-    concave in z, re-centre it. A row stops stepping once its last step is
-    below NEWTON_TOL_SDS sds for every draw, so its moments do not depend on
-    the other rows of the block. Newton converges quadratically, so the
-    centre is then much closer than that to the mode; the variance is minus
-    the inverse curvature where the row's last step began. Where a step or
-    that curvature is not finite (exp overflow), the start is kept.
+    the logit families anchor at logit(p_hat), p_hat = a / N for their
+    kernel's (a, N) (logit_counts), with binomial curvature N p(1-p). Where
+    data and prior disagree that start can sit many sds from the mode, so
+    Newton steps on the log integrand, which is concave in z, re-centre it.
+    A row stops stepping once its last step is below NEWTON_TOL_SDS sds for
+    every draw, so its moments do not depend on the other rows of the block.
+    Newton converges quadratically, so the centre is then much closer than
+    that to the mode; the variance is minus the inverse curvature where the
+    row's last step began. Where a step or that curvature is not finite (exp
+    overflow), the start is kept.
     """
     linpred = np.asarray(linpred, dtype=np.float64)
     single = linpred.ndim < 2
@@ -100,13 +100,9 @@ def approx_z_moments(y, trials, linpred, sigma2, family: FamilyTag) -> ZApproxMo
         lik_prec = np.where(y > 0, y, 0.5)
         anchor = np.log(lik_prec)
     else:
-        if family.name == "bil":
-            N, successes = trials, y
-        else:  # nbl: r "successes" out of y + r
-            N = y + float(family.r)
-            successes = float(family.r)
+        a, N = logit_counts(family, y, trials)
         lo = 0.5 / (N + 1.0)
-        p_hat = np.minimum(np.maximum(successes / N, lo), 1.0 - lo)
+        p_hat = np.minimum(np.maximum(a / N, lo), 1.0 - lo)
         lik_prec = N * p_hat * (1.0 - p_hat)
         anchor = np.log(p_hat) - np.log1p(-p_hat)
     s = 1.0 / (lik_prec + prior_prec)

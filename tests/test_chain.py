@@ -131,6 +131,12 @@ def test_impropriety_raises():
         run_chain(data, PriorConfig(gprior=FixedG(6.0), model_size=1.0), ChainConfig(n_iter=10))
 
 
+def test_model_size_must_stay_below_p():
+    data = _dataset(n=40, p=4)
+    with pytest.raises(ValueError, match="expected model size"):
+        run_chain(data, _prior(data, m=4.0), ChainConfig(n_iter=10))
+
+
 def test_fixed_sigma2_is_pinned():
     data = _dataset(n=40, p=4)
     cfg = ChainConfig(n_iter=300, burn_in=100, seed=5, fixed_sigma2=1e-6)

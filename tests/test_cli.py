@@ -272,6 +272,7 @@ def test_simulate_run_rejects_a_replicate_the_sampler_cannot_fit(tmp_path, capsy
     argv += ["--run", "--iters", "40", "--burnin", "20", "--out-dir", str(tmp_path / "sim")]
     assert main(argv) == EXIT_VALIDATION
     assert capsys.readouterr().err.startswith("error: dataset rejected")
+    assert not (tmp_path / "sim" / "data.csv").exists()
 
 
 def test_simulate_glm_records_zero_sigma2(tmp_path):

@@ -112,21 +112,23 @@ def test_cache_matches_direct_suff_stats():
             rtol=1e-10,
         )
     # every add, delete and swap neighbour of held models from the null to
-    # the full one, answered from the held state without re-anchoring
+    # the full one: move_log_marginal answers from the held state, while r2
+    # and log_marginal hold the model they are asked about
     for held in ([], [1], [0, 3, 4], [0, 2, 3, 5, 1], list(range(6))):
         H = ModelIndicator.from_indices(6, held)
-        assert cache.chol(H) is not None
         for drop in [None, *H.indices.tolist()]:
             for add in [None, *H.excluded.tolist()]:
+                assert cache.chol(H) is not None
                 N = H.with_move(drop, add)
                 s = suff_stats(z, N, design)
                 want = log_marginal(s.r2, s.tss, N.p_k, 25, g)
-                np.testing.assert_allclose(cache.r2(N), s.r2, rtol=1e-10, atol=1e-12)
-                np.testing.assert_allclose(cache.log_marginal(N, g), want, rtol=1e-10)
                 np.testing.assert_allclose(
                     cache.move_log_marginal(drop, add, g), want, rtol=1e-10
                 )
                 assert cache.held is H
+                np.testing.assert_allclose(cache.r2(N), s.r2, rtol=1e-10, atol=1e-12)
+                np.testing.assert_allclose(cache.log_marginal(N, g), want, rtol=1e-10)
+                assert cache.held is N
 
 
 def test_neighbour_rank_verdicts_match_rank_ok():
@@ -147,14 +149,16 @@ def test_neighbour_rank_verdicts_match_rank_ok():
         cache.set_z(rng.normal(size=n))
         for held in helds:
             H = ModelIndicator.from_indices(p, held)
-            assert cache.chol(H) is not None
             for drop in [None, *H.indices.tolist()]:
                 for add in [None, *H.excluded.tolist()]:
+                    assert cache.chol(H) is not None
                     N = H.with_move(drop, add)
                     want = rank_ok(N, design.Xc)
-                    assert cache.has_full_rank(N) == want, (held, drop, add)
                     assert (cache.move_log_marginal(drop, add, 10.0) > -np.inf) == want
                     assert cache.held is H
+                    # has_full_rank holds a full-rank model, keeps H otherwise
+                    assert cache.has_full_rank(N) == want, (held, drop, add)
+                    assert cache.held is (N if want else H)
                     verdicts.add(want)
     assert verdicts == {True, False}
 
