@@ -29,13 +29,14 @@ from .core import (
     ModelIndicator,
     PosteriorImproprietyRisk,
     PriorConfig,
+    ScaleAdapter,
     StructuralError,
     center_design,
     inclusion_bits,
     validate_dataset,
 )
-from .g_sampler import GAdaptState, hyper_g_over_n_ppf, mh_update_g
-from .latent import LatentAdaptState, update_all_latents
+from .g_sampler import G_TARGET_ACC, hyper_g_over_n_ppf, mh_update_g, step_sd
+from .latent import BARKER_TARGET_ACC, update_all_latents
 from .likelihoods import loglik_value_grad
 from .linear_gaussian import SuffStatsCache, sample_alpha, sample_sigma2
 from .model_space import ModelPriorParams, model_mh_step
@@ -122,7 +123,7 @@ class ChainOutput:
     accept_g: float
     accept_latent: float
     # Adapted proposal scales at the end of the run: the latent step sizes
-    # exp(log_step), one per observation and chain, and the g proposal sd
+    # exp(log_scale), one per observation and chain, and the g proposal sd
     # averaged over chains (nan when g is fixed).
     latent_step: np.ndarray | None = None
     g_step_sd: float = np.nan
@@ -218,8 +219,8 @@ def run_chain(data: Dataset, prior: PriorConfig, config: ChainConfig) -> ChainOu
     burn_in = config.resolved_burn_in()
     keep_iters = range(burn_in, config.n_iter, config.thin)
     n_keep = len(keep_iters)
-    adapt_z = LatentAdaptState.fresh(n)
-    adapt_g = GAdaptState()
+    adapt_z = ScaleAdapter(np.zeros(n), BARKER_TARGET_ACC)  # log step sds
+    adapt_g = ScaleAdapter(0.0, G_TARGET_ACC)  # log proposal variance
 
     store = DrawStore(
         alpha=np.empty(n_keep),
@@ -289,8 +290,8 @@ def run_chain(data: Dataset, prior: PriorConfig, config: ChainConfig) -> ChainOu
         accept_model=acc_model / config.n_iter,
         accept_g=acc_g / config.n_iter if hyper else np.nan,
         accept_latent=acc_latent / config.n_iter,
-        latent_step=np.exp(adapt_z.log_step),
-        g_step_sd=adapt_g.step_sd() if hyper else np.nan,
+        latent_step=np.exp(adapt_z.log_scale),
+        g_step_sd=step_sd(adapt_g) if hyper else np.nan,
     )
 
 

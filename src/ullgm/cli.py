@@ -31,6 +31,7 @@ from .core import (
     validate_dataset,
 )
 from .diagnostics import pooled_ess
+from .model_space import ModelPriorParams
 from .predictive import per_point_log_predictive
 from .simulation import SimConfig, gen_dataset, metrics
 
@@ -202,8 +203,10 @@ def _validated_dataset(y, X, family, trials) -> Dataset:
 def _run(args: argparse.Namespace, data: Dataset, seed: int) -> ChainOutput:
     """Builds the prior and chain settings from the sampler flags and runs --chains chains."""
     m = args.msize if args.msize is not None else data.p / 2.0
-    if not (0 < m < data.p):
-        raise CliError(EXIT_VALIDATION, f"--msize must lie in (0, {data.p}), got {m}")
+    try:
+        ModelPriorParams.from_expected_size(data.p, m)
+    except ValueError as e:
+        raise CliError(EXIT_VALIDATION, f"--msize: {e}") from None
     prior = PriorConfig(gprior=_parse_gprior(args.gprior, data.n), model_size=m)
     try:
         config = ChainConfig(
@@ -369,6 +372,9 @@ def _load_draw_store(draws_dir: str) -> tuple[DrawStore, list[str], np.ndarray, 
     header, body = _read_csv(dpath)
     cpath = os.path.join(draws_dir, "centering.csv")
     cheader, cbody = _read_csv(cpath)
+    for path, rows in ((dpath, body), (cpath, cbody)):
+        if not rows:
+            raise CliError(EXIT_IO, f"{path} holds no rows")
     names = [row[cheader.index("covariate")] for row in cbody]
     mean, scale = (_numeric_column(cpath, cheader, cbody, c) for c in ("mean", "scale"))
     alpha, sigma2, g = (_numeric_column(dpath, header, body, c) for c in ("alpha", "sigma2", "g"))

@@ -1,4 +1,5 @@
-"""Shared containers, dataset validation, and design-matrix centering.
+"""Shared containers, dataset validation, design-matrix centering, and the
+Metropolis pieces the sampler's moves share.
 
 The model layer works with a latent Gaussian regression
     z_i = alpha + x_i' beta + eps_i,   eps_i ~ N(0, sigma2),
@@ -6,6 +7,12 @@ observed only through a counting likelihood attached to z_i. Everything
 downstream (marginal likelihoods, model moves, latent updates) assumes the
 covariates have been mean-centered, so centering lives here next to the
 dataset validation rules.
+
+The model move and the log-g walk accept through metropolis_accept. The g
+walk and the Barker sweep on z each tune a ScaleAdapter (Robbins-Monro,
+Andrieu & Thoms 2008), frozen after burn-in: the sweep reads log_scale as
+one log step sd per observation, the g walk as a log *variance*
+(g_sampler.step_sd).
 """
 
 from __future__ import annotations
@@ -19,6 +26,8 @@ FAMILY_NAMES = ("pln", "bil", "nbl")
 
 # Relative pivot tolerance for declaring X_k'X_k rank-deficient.
 RANK_RTOL = 1e-10
+# Robbins-Monro exponent of the proposal-scale schedule: increments shrink as iter^-0.6.
+ADAPT_KAPPA = 0.6
 
 
 class StructuralError(ValueError):
@@ -295,6 +304,32 @@ class GaussianLayerState:
     beta: np.ndarray  # length p, zeros outside the current model
     sigma2: float
     g: float
+
+
+@dataclass
+class ScaleAdapter:
+    """Log proposal scale (float or per-coordinate array); each update adds
+    iter^-ADAPT_KAPPA (accepted - target) unless frozen. The move that reads
+    log_scale decides whether it is a log sd or a log variance."""
+
+    log_scale: np.ndarray | float
+    target: float
+    iter: int = 0
+    frozen: bool = False
+
+    def update(self, accepted) -> None:
+        self.iter += 1
+        if not self.frozen:
+            self.log_scale += self.iter ** -ADAPT_KAPPA * (
+                np.asarray(accepted, dtype=np.float64) - self.target
+            )
+
+
+def metropolis_accept(log_ratio: float, rng: np.random.Generator) -> bool:
+    """Metropolis test of one scalar move: accept when log_ratio >= 0, else
+    with probability exp(log_ratio). A uniform is drawn only when log_ratio
+    is not >= 0 (a NaN ratio draws one and rejects)."""
+    return bool(log_ratio >= 0.0 or np.log(rng.random()) < log_ratio)
 
 
 def cholesky_with_tol(XtX: np.ndarray) -> np.ndarray | None:

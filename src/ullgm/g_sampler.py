@@ -1,21 +1,21 @@
 """Random-walk update for g under the hyper-g/n prior.
 
 Density p(g) = (a-2)/(2n) (1 + g/n)^{-a/2} on g > 0, a > 2. The walk is on
-log g, so the Jacobian g* / g enters the acceptance ratio, and the proposal
-variance adapts toward a 0.234 acceptance rate with a diminishing
-Robbins-Monro schedule.
+log g, so the Jacobian g* / g enters the acceptance ratio. Its proposal
+variance is exp(adapt.log_scale), from a core.ScaleAdapter that targets a
+0.234 acceptance rate: log_scale is a log *variance*, so step_sd(adapt)
+halves it before the exp.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from .core import ScaleAdapter, metropolis_accept
+
 G_TARGET_ACC = 0.234
-# Robbins-Monro exponent of the proposal-scale schedule.
-ADAPT_KAPPA = 0.6
 
 
 def log_hyper_g_over_n(g: float, a: float, n: int) -> float:
@@ -38,21 +38,9 @@ def hyper_g_over_n_ppf(u, a: float, n: int):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass
-class GAdaptState:
-    """Adaptive scale for the log-g walk; log_tau is the log proposal variance."""
-
-    log_tau: float = 0.0
-    iter: int = 0
-    frozen: bool = False
-
-    def step_sd(self) -> float:
-        return float(np.exp(0.5 * self.log_tau))
-
-    def update(self, accepted: bool) -> None:
-        self.iter += 1
-        if not self.frozen:
-            self.log_tau += self.iter ** (-ADAPT_KAPPA) * (float(accepted) - G_TARGET_ACC)
+def step_sd(adapt: ScaleAdapter) -> float:
+    """Proposal sd of the log-g walk; adapt.log_scale is its log variance."""
+    return float(np.exp(0.5 * adapt.log_scale))
 
 
 def mh_update_g(
@@ -60,7 +48,7 @@ def mh_update_g(
     log_lik: Callable[[float], float],
     n: int,
     a: float,
-    adapt: GAdaptState,
+    adapt: ScaleAdapter,
     rng: np.random.Generator,
 ) -> tuple[float, bool]:
     """One log-scale random-walk step on g.
@@ -68,7 +56,7 @@ def mh_update_g(
     log_lik(g) is the log marginal likelihood of the current model given g;
     a constant one makes the draw target the prior alone.
     """
-    g_new = float(g * np.exp(adapt.step_sd() * rng.standard_normal()))
+    g_new = float(g * np.exp(step_sd(adapt) * rng.standard_normal()))
     log_ratio = (
         log_hyper_g_over_n(g_new, a, n)
         - log_hyper_g_over_n(g, a, n)
@@ -76,6 +64,6 @@ def mh_update_g(
         - np.log(g)
     )
     log_ratio += log_lik(g_new) - log_lik(g)
-    accepted = log_ratio >= 0.0 or np.log(rng.random()) < log_ratio
+    accepted = metropolis_accept(log_ratio, rng)
     adapt.update(accepted)
     return (g_new, True) if accepted else (g, False)

@@ -4,8 +4,9 @@ Each z_i has full conditional proportional to f(y_i | z_i) N(z_i | alpha +
 x_i' beta, sigma2) and is updated with a Barker proposal: draw an increment
 xi ~ N(0, step_i^2), move in the direction favored by the gradient with
 probability logistic(xi * grad), and apply the matching acceptance ratio.
-Per-observation step sizes adapt toward a 0.57 acceptance rate on a
-diminishing schedule and are frozen once burn-in ends.
+The step sds are exp(adapt.log_scale), one per observation, from a
+core.ScaleAdapter that targets a 0.57 acceptance rate and is frozen once
+burn-in ends.
 
 The conditionals are independent across i, so one sweep is evaluated as a
 single vectorized block; draws are indexed by observation within each sweep.
@@ -36,34 +37,12 @@ z of -0.0 may come back as the equal +0.0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import FamilyTag
+from .core import FamilyTag, ScaleAdapter
 from .likelihoods import loglik_value_grad, softplus
 
 BARKER_TARGET_ACC = 0.57
-# Robbins-Monro exponent of the step-size schedule: increments shrink as iter^-0.6.
-ADAPT_KAPPA = 0.6
-
-
-@dataclass
-class LatentAdaptState:
-    log_step: np.ndarray
-    iter: int = 0
-    frozen: bool = False
-
-    @staticmethod
-    def fresh(n: int) -> "LatentAdaptState":
-        return LatentAdaptState(log_step=np.zeros(n))
-
-    def update(self, accepted: np.ndarray) -> None:
-        self.iter += 1
-        if not self.frozen:
-            self.log_step += self.iter ** (-ADAPT_KAPPA) * (
-                accepted.astype(np.float64) - BARKER_TARGET_ACC
-            )
 
 
 def conditional_value_grad(lik, z, linpred, sigma2):
@@ -135,10 +114,10 @@ def update_all_latents(
     linpred: np.ndarray,
     sigma2: float,
     family: FamilyTag,
-    adapt: LatentAdaptState,
+    adapt: ScaleAdapter,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """One full sweep over the latent vector; adapts step sizes in place.
+    """One sweep over the latent vector, step sds exp(adapt.log_scale); adapts them.
 
     lik is loglik_value_grad(family, y, z, trials); the sweep returns
     (z, accept mask, lik at the new z).
@@ -146,7 +125,7 @@ def update_all_latents(
     z_out, accepted, lik_out = barker_step(
         z,
         lik,
-        np.exp(adapt.log_step),
+        np.exp(adapt.log_scale),
         linpred,
         sigma2,
         lambda x: loglik_value_grad(family, y, x, trials),

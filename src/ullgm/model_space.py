@@ -9,13 +9,13 @@ enumeration, which keeps the move kernel simple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import gammaln
 
-from .core import ModelIndicator
+from .core import ModelIndicator, metropolis_accept
 
 ONE_THIRD_LOG = np.log(1.0 / 3.0)
 
@@ -25,7 +25,8 @@ class ModelPriorParams:
     p: int
     a: float
     b: float
-    _size_logp: tuple = None  # log prior per model, indexed by model size
+    # log prior per model, indexed by model size; derived from (p, a, b)
+    size_logp: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not (self.p >= 1 and self.a > 0 and self.b > 0):
@@ -40,7 +41,7 @@ class ModelPriorParams:
             float(const + gammaln(self.a + k) + gammaln(self.b + self.p - k))
             for k in range(self.p + 1)
         )
-        object.__setattr__(self, "_size_logp", table)
+        object.__setattr__(self, "size_logp", table)
 
     @staticmethod
     def from_expected_size(p: int, m: float) -> "ModelPriorParams":
@@ -53,7 +54,7 @@ def log_model_prior(M: ModelIndicator, params: ModelPriorParams, rankflag: bool)
     """log prior of one specific model (not of its size class)."""
     if not rankflag:
         return -np.inf
-    return params._size_logp[M.p_k]
+    return params.size_logp[M.p_k]
 
 
 class AdsProposal(NamedTuple):
@@ -71,21 +72,13 @@ class AdsProposal(NamedTuple):
         return "delete" if self.add is None else "swap"
 
 
-def _log_move_prob(kind: str, p_k: int, p: int) -> float:
-    # Probability of choosing this move type from a model of size p_k.
-    if kind == "add":
-        return 0.0 if p_k == 0 else ONE_THIRD_LOG
-    if kind == "delete":
-        return 0.0 if p_k == p else ONE_THIRD_LOG
-    raise ValueError(kind)
-
-
 def propose_ads(M: ModelIndicator, rng: np.random.Generator) -> AdsProposal:
     """One add/delete/swap proposal with its Hastings log correction.
 
     At the boundaries the forced move has probability one; in the interior
     each move type is chosen with probability 1/3 and the affected
-    covariates uniformly. Swap proposals are symmetric.
+    covariates uniformly. Add is forced only from the null model and delete
+    only from the full one. Swap proposals are symmetric.
     """
     p, p_k = M.p, M.p_k
     if p_k == 0:
@@ -96,22 +89,18 @@ def propose_ads(M: ModelIndicator, rng: np.random.Generator) -> AdsProposal:
         move = ("add", "delete", "swap")[rng.integers(3)]
 
     if move == "add":
-        out_idx = M.excluded
-        j = int(out_idx[rng.integers(out_idx.shape[0])])
-        log_fwd = _log_move_prob("add", p_k, p) - np.log(p - p_k)
-        log_rev = _log_move_prob("delete", p_k + 1, p) - np.log(p_k + 1)
+        j = int(M.excluded[rng.integers(p - p_k)])
+        log_fwd = (0.0 if p_k == 0 else ONE_THIRD_LOG) - np.log(p - p_k)
+        log_rev = (0.0 if p_k + 1 == p else ONE_THIRD_LOG) - np.log(p_k + 1)
         return AdsProposal(None, j, log_rev - log_fwd)
     if move == "delete":
-        in_idx = M.indices
-        j = int(in_idx[rng.integers(in_idx.shape[0])])
-        log_fwd = _log_move_prob("delete", p_k, p) - np.log(p_k)
-        log_rev = _log_move_prob("add", p_k - 1, p) - np.log(p - p_k + 1)
+        j = int(M.indices[rng.integers(p_k)])
+        log_fwd = (0.0 if p_k == p else ONE_THIRD_LOG) - np.log(p_k)
+        log_rev = (0.0 if p_k == 1 else ONE_THIRD_LOG) - np.log(p - p_k + 1)
         return AdsProposal(j, None, log_rev - log_fwd)
     # swap: size unchanged, uniform over included x excluded pairs both ways
-    in_idx = M.indices
-    out_idx = M.excluded
-    j_out = int(in_idx[rng.integers(in_idx.shape[0])])
-    j_in = int(out_idx[rng.integers(out_idx.shape[0])])
+    j_out = int(M.indices[rng.integers(p_k)])
+    j_in = int(M.excluded[rng.integers(p - p_k)])
     return AdsProposal(j_out, j_in, 0.0)
 
 
@@ -135,7 +124,7 @@ def model_mh_step(
     lm_new = log_marginal(drop, add)
     if lm_new == -np.inf:
         return M, False
-    size_logp = params._size_logp
+    size_logp = params.size_logp
     p_new = M.p_k + (add is not None) - (drop is not None)
     log_ratio = (
         size_logp[p_new]
@@ -144,6 +133,6 @@ def model_mh_step(
         - log_marginal(None, None)
         + log_correction
     )
-    if log_ratio >= 0.0 or np.log(rng.random()) < log_ratio:
+    if metropolis_accept(log_ratio, rng):
         return M.with_move(drop, add), True
     return M, False

@@ -15,22 +15,21 @@ truncates the tails.
 
 Holdout points are scored in row chunks of BUDGET // S points, so memory
 stays bounded by the chunk, not the holdout. A chunk's linear predictors
-form a (rows, S) block; the nodes of the block form one node-major
-(order, rows, S) grid, so each reduction runs over contiguous slices. The
-log integrand is built in place in the log_pmf output, with log weights
-log w + t^2; the per-draw constants (log sqrt(2 s) and the Gaussian
-normaliser) are added after the reduction over nodes, since they do not
-vary across nodes. Both reductions, over nodes and then over draws, are
-max-shifted log-sum-exps. A draw whose integrand is -inf or underflows at
-every node gets -inf before the floor, never NaN: a non-finite shift is
-reset to 0. Draw-level probabilities are floored at 1e-300 and averaged
-before the log, so the score of draw s is never -inf and rare events stay
-finite.
+form a (rows, S) block, with (rows, 1) outcomes and trials and sigma2 per
+draw: the one input shape of the kernels (predictive_pmf builds a (1, 1)
+one). Its nodes form one node-major (order, rows, S) grid, so each
+reduction runs over contiguous slices. The log integrand is built in place
+in the log_pmf output, with log weights log w + t^2; the per-draw constants
+(log sqrt(2 s) and the Gaussian normaliser) are added after the reduction
+over nodes, since they do not vary across nodes. Both reductions, over
+nodes and then over draws, are max-shifted log-sum-exps. A draw whose
+integrand is -inf or underflows at every node gets -inf before the floor,
+never NaN: a non-finite shift is reset to 0. Draw-level probabilities are
+floored at 1e-300 and averaged before the log, so the score of draw s is
+never -inf and rare events stay finite.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,29 +53,12 @@ NEWTON_MAX_STEPS = 6
 BUDGET = 1024
 
 
-@dataclass(frozen=True)
-class ZApproxMoments:
-    """Gaussian surrogate for f(y | z) N(z | linpred, sigma2) in z."""
+def approx_z_moments(y, trials, lin, sigma2, family: FamilyTag):
+    """Gaussian approximation (m, s) to f(y | z) N(z | lin, sigma2) at its mode.
 
-    m: np.ndarray
-    s: np.ndarray  # variance, not sd
-
-
-def _as_rows(y, trials):
-    """Outcomes and trials as (rows, 1) columns; trials stays None if absent."""
-    y = np.asarray(y, dtype=np.float64).reshape(-1, 1)
-    if trials is not None:
-        trials = np.asarray(trials, dtype=np.float64).reshape(-1, 1)
-    return y, trials
-
-
-def approx_z_moments(y, trials, linpred, sigma2, family: FamilyTag) -> ZApproxMoments:
-    """Gaussian approximation to f(y | z) N(z | linpred, sigma2) at its mode.
-
-    linpred is either one point's draws, shape (S,), with scalar y and
-    trials, or a (rows, S) block of points with y and trials of shape
-    (rows, 1); sigma2 is per draw. m and s have linpred's shape (at least
-    1-D).
+    lin is a (rows, S) block of linear predictors, y and trials (None when
+    absent) are (rows, 1) and sigma2 is per draw. The centre m and the
+    variance s (not sd) are (rows, S).
 
     The start is a precision-weighted combination of a likelihood anchor and
     the prior: pln anchors at log y (with y=0 nudged to 0.5, precision y');
@@ -91,10 +73,6 @@ def approx_z_moments(y, trials, linpred, sigma2, family: FamilyTag) -> ZApproxMo
     row's last step began. Where a step or that curvature is not finite (exp
     overflow), the start is kept.
     """
-    linpred = np.asarray(linpred, dtype=np.float64)
-    single = linpred.ndim < 2
-    lin = linpred if linpred.ndim == 2 else linpred.reshape(1, -1)
-    y, trials = _as_rows(y, trials)
     prior_prec = 1.0 / np.asarray(sigma2, dtype=np.float64)
     if family.name == "pln":
         lik_prec = np.where(y > 0, y, 0.5)
@@ -134,9 +112,7 @@ def approx_z_moments(y, trials, linpred, sigma2, family: FamilyTag) -> ZApproxMo
         else:
             m = np.where(ok, m, m_start)
             s = np.where(ok, 1.0 / prec, s)
-    if single:
-        m, s = m.reshape(-1), s.reshape(-1)
-    return ZApproxMoments(m=m, s=s)
+    return m, s
 
 
 def _log_sum_exp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -152,22 +128,16 @@ def _log_sum_exp(a: np.ndarray, axis: int) -> np.ndarray:
         return np.log(a.sum(axis=axis)) + np.squeeze(shift, axis=axis)
 
 
-def log_predictive_draws(y, trials, linpred, sigma2, family: FamilyTag) -> np.ndarray:
+def log_predictive_draws(y, trials, lin, sigma2, family: FamilyTag) -> np.ndarray:
     """Per-draw log predictive probability of holdout outcomes.
 
-    Takes one point's draws, linpred of shape (S,) with scalar y and
-    trials, or a (rows, S) block with y and trials of shape (rows, 1);
-    sigma2 is per draw. The result has linpred's shape and is floored at
-    log(1e-300).
+    Takes the block of approx_z_moments: lin (rows, S), y and trials (rows,
+    1), sigma2 per draw. The result is (rows, S), floored at log(1e-300).
     """
-    linpred = np.asarray(linpred, dtype=np.float64)
-    single = linpred.ndim < 2
-    lin = linpred if linpred.ndim == 2 else linpred.reshape(1, -1)
-    y, trials = _as_rows(y, trials)
     s2 = np.asarray(sigma2, dtype=np.float64)
-    mom = approx_z_moments(y, trials, lin, s2, family)
-    scale = np.sqrt(2.0 * mom.s)
-    zs = mom.m + _GH_T[:, None, None] * scale  # (order, rows, S)
+    m, s = approx_z_moments(y, trials, lin, s2, family)
+    scale = np.sqrt(2.0 * s)
+    zs = m + _GH_T[:, None, None] * scale  # (order, rows, S)
     log_f = log_pmf(family, y, zs, trials)
     zs -= lin
     np.square(zs, out=zs)
@@ -177,7 +147,7 @@ def log_predictive_draws(y, trials, linpred, sigma2, family: FamilyTag) -> np.nd
     out = _log_sum_exp(log_f, axis=0)
     out += np.log(scale) - 0.5 * np.log(2.0 * np.pi * s2)
     np.maximum(out, LOG_PMF_FLOOR, out=out)
-    return out[0] if single else out
+    return out
 
 
 def predictive_pmf(
@@ -193,7 +163,8 @@ def predictive_pmf(
     """Predictive probability of y at one parameter draw; x_new is on the raw
     covariate scale and gets centered with the training column means."""
     linpred = alpha + (np.asarray(x_new, dtype=np.float64) - col_means) @ beta
-    return float(np.exp(log_predictive_draws(y, trials, linpred, sigma2, family)[0]))
+    block = [None if v is None else np.full((1, 1), v, np.float64) for v in (y, trials, linpred)]
+    return float(np.exp(log_predictive_draws(*block, sigma2, family)[0, 0]))
 
 
 def per_point_log_predictive(

@@ -24,10 +24,11 @@ from ullgm.core import (
     ModelIndicator,
     PLN,
     PriorConfig,
+    ScaleAdapter,
     center_design,
     nbl,
 )
-from ullgm.g_sampler import GAdaptState, hyper_g_over_n_ppf, mh_update_g
+from ullgm.g_sampler import G_TARGET_ACC, hyper_g_over_n_ppf, mh_update_g
 from ullgm.likelihoods import log_pmf, loglik_value_grad
 from ullgm.linear_gaussian import (
     SuffStatsCache,
@@ -199,7 +200,7 @@ def test_criterion_4b_g_prior_stationarity():
     a, n = 3.0, 40
     rng = np.random.default_rng(5)
     g = float(hyper_g_over_n_ppf(0.5, a, n))
-    adapt = GAdaptState()
+    adapt = ScaleAdapter(0.0, G_TARGET_ACC)
     iters, burn = 1_500_000, 50_000
     draws = np.empty(iters - burn)
     for t in range(iters):
@@ -225,13 +226,15 @@ def test_criterion_5_predictive_quadrature():
     worst = 0.0
     for yi in range(21):
         got = np.exp(
-            log_predictive_draws(float(yi), None, np.array([lin]), np.array([s2]), PLN)
-        )[0]
+            log_predictive_draws(np.array([[yi]], float), None, np.array([[lin]]), s2, PLN)
+        )[0, 0]
         worst = max(worst, abs(got - poisson.pmf(yi, np.exp(lin))))
     for yi in range(11):
         got = np.exp(
-            log_predictive_draws(float(yi), 10.0, np.array([-0.4]), np.array([s2]), BIL)
-        )[0]
+            log_predictive_draws(
+                np.array([[yi]], float), np.array([[10.0]]), np.array([[-0.4]]), s2, BIL
+            )
+        )[0, 0]
         worst = max(worst, abs(got - binom.pmf(yi, 10, 1 / (1 + np.exp(0.4)))))
     assert worst < 1e-6, worst
 
@@ -251,9 +254,13 @@ def test_criterion_5_predictive_quadrature():
             mc, se = pv.mean(), pv.std(ddof=1) / np.sqrt(n_mc)
             got = np.exp(
                 log_predictive_draws(
-                    float(yi), tr, np.array([lin_c]), np.array([s2]), fam
+                    np.array([[yi]], float),
+                    None if tr is None else np.array([[tr]]),
+                    np.array([[lin_c]]),
+                    np.array([s2]),
+                    fam,
                 )
-            )[0]
+            )[0, 0]
             zscore = abs(got - mc) / se
             worst_z = max(worst_z, zscore)
     assert worst_z < 3.0, worst_z

@@ -18,10 +18,11 @@ from ullgm.core import (
     PLN,
     PosteriorImproprietyRisk,
     PriorConfig,
+    ScaleAdapter,
     center_design,
     nbl,
 )
-from ullgm.latent import LatentAdaptState, update_all_latents
+from ullgm.latent import BARKER_TARGET_ACC, update_all_latents
 from ullgm.likelihoods import loglik_value_grad
 from ullgm.linear_gaussian import SuffStatsCache
 from ullgm.model_space import ModelPriorParams, log_model_prior, model_mh_step
@@ -264,7 +265,7 @@ def test_joint_distribution_forward_vs_gibbs():
     lin = alpha0 + (Xc[:, M.indices] @ beta if M.p_k else 0.0)
     z = lin + rng.normal(scale=np.sqrt(sigma2_0), size=n)
     cache = SuffStatsCache(design)
-    adapt = LatentAdaptState.fresh(n)
+    adapt = ScaleAdapter(np.zeros(n), BARKER_TARGET_ACC)
     adapt.frozen = True
     burn, keep, thin = 3000, 60_000, 15
     gbs_size = np.zeros(keep)

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -160,15 +161,23 @@ def test_fit_validation_exit_codes(tmp_path):
         ["simulate", "--n", "40", "--p", "10", "--family", "bil", "--trials-count", "0"],
         ["cv", "--input", "{data}", "--outcome", "count", "--splits", "1", "--test-share", "-1"],
         ["cv", "--input", "{data}", "--outcome", "count", "--splits", "1", "--test-share", "1"],
+        ["fit", "--input", "{data}", "--outcome", "count", "--msize", "0"],
+        ["fit", "--input", "{data}", "--outcome", "count", "--msize", "4"],  # p = 4
     ],
-    ids=["chains", "r", "splits", "p", "replicates", "n", "trials-count", "test-share", "test-share-1"],
+    ids=[
+        "chains", "r", "splits", "p", "replicates", "n", "trials-count", "test-share",
+        "test-share-1", "msize-0", "msize-p",
+    ],
 )
 def test_bad_counts_are_validation_errors(tmp_path, capsys, argv):
     inp = _write_counts_csv(tmp_path / "d.csv")
     argv = [a.format(data=inp) for a in argv]
     argv += ["--iters", "40", "--burnin", "20", "--out-dir", str(tmp_path / "run")]
     assert main(argv) == EXIT_VALIDATION
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if "--msize" in argv:
+        assert err.startswith("error: --msize")
 
 
 def test_process_exit_status_follows_main(tmp_path):
@@ -285,22 +294,27 @@ def test_simulate_glm_records_zero_sigma2(tmp_path):
     assert man["config"]["dgp"] == "glm"
 
 
-def test_predict_and_cv(tmp_path):
+def test_predict_and_cv(tmp_path, capsys):
     inp = _write_counts_csv(tmp_path / "d.csv", n=90)
     fit_out = tmp_path / "fit"
     assert main(_fit_args(inp, fit_out, ("--save-draws",))) == EXIT_OK
     hold = _write_counts_csv(tmp_path / "h.csv", n=20, seed=1)
+
+    def predict(draws_dir, out):
+        argv = ["predict", "--input", str(hold), "--outcome", "count"]
+        return main(argv + ["--draws", str(draws_dir), "--out-dir", str(out)])
+
     pred_out = tmp_path / "pred"
-    code = main(
-        [
-            "predict",
-            "--input", str(hold),
-            "--outcome", "count",
-            "--draws", str(fit_out),
-            "--out-dir", str(pred_out),
-        ]
-    )
-    assert code == EXIT_OK
+    assert predict(fit_out, pred_out) == EXIT_OK
+    # a draws.csv or centering.csv with its header and no rows is rejected
+    for name in ("draws.csv", "centering.csv"):
+        empty = tmp_path / f"empty_{name}"
+        shutil.copytree(fit_out, empty)
+        path = empty / name
+        path.write_text(path.read_text().splitlines(keepends=True)[0])
+        capsys.readouterr()
+        assert predict(empty, tmp_path / "pred_empty") == EXIT_IO, name
+        assert capsys.readouterr().err.startswith(f"error: {path} holds no rows"), name
     header, rows = _read_csv(pred_out / "predictions.csv")
     assert header == ["index", "y", "log_prob", "floored"]
     assert len(rows) == 20

@@ -1,4 +1,4 @@
-"""Dataset validation, centering, and rank checks."""
+"""Dataset validation, centering, rank checks, and the shared Metropolis pieces."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,9 @@ from ullgm.core import (
     FamilyTag,
     ModelIndicator,
     PLN,
+    ScaleAdapter,
     center_design,
+    metropolis_accept,
     nbl,
     rank_ok,
     validate_dataset,
@@ -157,3 +159,51 @@ def test_model_indicator_moves():
     assert swapped.p_k == 2 and list(swapped.indices) == [3, 4]
     assert list(M.excluded) == [0, 2, 4]
     assert M.bits() == "01010"
+
+
+def _array_schedule(log_step, it, accepted):
+    # the latent sweep's step-size schedule, as written before ScaleAdapter
+    log_step += it ** (-0.6) * (accepted.astype(np.float64) - 0.57)
+    return log_step
+
+
+def _scalar_schedule(log_tau, it, accepted):
+    # the g walk's proposal-variance schedule, as written before ScaleAdapter
+    return log_tau + it ** (-0.6) * (float(accepted) - 0.234)
+
+
+@pytest.mark.parametrize(
+    "schedule, target, start, accept_draw",
+    [
+        (_array_schedule, 0.57, lambda: np.zeros(40), lambda rng: rng.random(40) < 0.6),
+        (_scalar_schedule, 0.234, lambda: 0.0, lambda rng: bool(rng.random() < 0.3)),
+    ],
+    ids=["array", "scalar"],
+)
+def test_scale_adapter_matches_the_schedules_it_replaced(schedule, target, start, accept_draw):
+    # The sweep's step sds and the g walk's proposal sd drive the random
+    # stream, so the shared adapter must keep both former schedules bit for
+    # bit, through burn-in (120 updates) and frozen after it.
+    rng = np.random.default_rng(17)
+    adapter, old = ScaleAdapter(start(), target), start()
+    for it in range(1, 201):
+        accepted = accept_draw(rng)
+        adapter.frozen = it > 120
+        adapter.update(accepted)
+        if it <= 120:
+            old = schedule(old, it, accepted)
+        got = np.asarray(adapter.log_scale, dtype=np.float64)
+        np.testing.assert_array_equal(got.view(np.int64), np.asarray(old).view(np.int64))
+    assert adapter.iter == 200
+
+
+def test_metropolis_accept_draws_a_uniform_only_below_zero():
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    assert metropolis_accept(0.0, rng) and metropolis_accept(2.5, rng)
+    assert rng.bit_generator.state == state
+    ref = np.random.default_rng(3)
+    for log_ratio in (-0.5, -3.0, -np.inf, np.nan):
+        got = [metropolis_accept(log_ratio, rng) for _ in range(100)]
+        assert got == [bool(np.log(ref.random()) < log_ratio) for _ in range(100)]
+    assert rng.bit_generator.state == ref.bit_generator.state

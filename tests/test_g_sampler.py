@@ -4,8 +4,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.stats import kstest
 
+from ullgm.core import ScaleAdapter
 from ullgm.g_sampler import (
-    GAdaptState,
     G_TARGET_ACC,
     hyper_g_over_n_cdf,
     hyper_g_over_n_ppf,
@@ -51,7 +51,7 @@ def test_mh_prior_only_matches_quantiles():
     a, n = 3.0, 40
     rng = np.random.default_rng(0)
     g = float(hyper_g_over_n_ppf(0.5, a, n))
-    adapt = GAdaptState()
+    adapt = ScaleAdapter(0.0, G_TARGET_ACC)
     burn, keep = 20_000, 200_000
     draws = np.empty(keep)
     for t in range(burn + keep):
@@ -70,7 +70,7 @@ def test_mh_acceptance_adapts_toward_target():
     a, n = 3.0, 60
     rng = np.random.default_rng(1)
     g = float(hyper_g_over_n_ppf(0.5, a, n))
-    adapt = GAdaptState()
+    adapt = ScaleAdapter(0.0, G_TARGET_ACC)
     accs = []
     for t in range(40_000):
         g, acc = mh_update_g(g, lambda _: 0.0, n, a, adapt, rng)
@@ -81,20 +81,20 @@ def test_mh_acceptance_adapts_toward_target():
 
 
 def test_adapt_state_schedule_and_freeze():
-    adapt = GAdaptState()
-    tau0 = adapt.log_tau
+    adapt = ScaleAdapter(0.0, G_TARGET_ACC)
+    tau0 = adapt.log_scale
     adapt.update(True)
-    assert adapt.log_tau > tau0
+    assert adapt.log_scale > tau0
     adapt.update(False)
     # diminishing increments: late-iteration updates are tiny
     adapt.iter = 10**6
-    before = adapt.log_tau
+    before = adapt.log_scale
     adapt.update(True)
-    assert abs(adapt.log_tau - before) < 1e-3
+    assert abs(adapt.log_scale - before) < 1e-3
     adapt.frozen = True
-    frozen_val = adapt.log_tau
+    frozen_val = adapt.log_scale
     adapt.update(True)
-    assert adapt.log_tau == frozen_val
+    assert adapt.log_scale == frozen_val
 
 
 def test_mh_with_marginal_targets_tilted_density():
@@ -118,7 +118,7 @@ def test_mh_with_marginal_targets_tilted_density():
 
     rng = np.random.default_rng(3)
     g = float(hyper_g_over_n_ppf(0.5, a, n))
-    adapt = GAdaptState()
+    adapt = ScaleAdapter(0.0, G_TARGET_ACC)
     burn, keep = 20_000, 60_000
     draws = np.empty(keep)
     for t in range(burn + keep):

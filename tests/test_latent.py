@@ -5,16 +5,19 @@ from scipy.integrate import quad
 from scipy.special import expit
 from scipy.stats import kstest, norm
 
-from ullgm.core import BIL, PLN, nbl
+from ullgm.core import BIL, PLN, ScaleAdapter, nbl
 from ullgm.latent import (
     BARKER_TARGET_ACC,
-    LatentAdaptState,
     _select,
     barker_step,
     conditional_value_grad,
     update_all_latents,
 )
 from ullgm.likelihoods import log_pmf, loglik_value_grad, softplus
+
+
+def _adapter(n):
+    return ScaleAdapter(np.zeros(n), BARKER_TARGET_ACC)
 
 
 def test_log_target_combines_count_and_gaussian_terms():
@@ -76,7 +79,7 @@ def test_barker_update_targets_conditional():
     z = np.full(n_rep, np.log(y + 0.5))
     yv = np.full(n_rep, y)
     linv = np.full(n_rep, lin)
-    adapt = LatentAdaptState.fresh(n_rep)  # log step 0: every step is 1
+    adapt = _adapter(n_rep)  # log step 0: every step is 1
     adapt.frozen = True
     lik = loglik_value_grad(fam, yv, z)
     for _ in range(300):
@@ -110,7 +113,7 @@ def test_update_all_latents_stationary_per_family():
         trv = None if tr is None else np.full(n_rep, tr)
         linv = np.full(n_rep, lin)
         z = np.zeros(n_rep)
-        adapt = LatentAdaptState.fresh(n_rep)
+        adapt = _adapter(n_rep)
         lik = loglik_value_grad(fam, yv, z, trv)
         for t in range(400):
             if t == 200:
@@ -126,7 +129,7 @@ def test_latent_adaptation_hits_target_rate():
     y = rng.poisson(3.0, size=n).astype(float)
     lin = np.log(3.0) * np.ones(n)
     z = np.log(y + 0.5)
-    adapt = LatentAdaptState.fresh(n)
+    adapt = _adapter(n)
     lik = loglik_value_grad(PLN, y, z)
     for _ in range(3000):
         z, _, lik = update_all_latents(z, lik, y, None, lin, 0.5, PLN, adapt, rng)
@@ -141,19 +144,19 @@ def test_latent_adaptation_hits_target_rate():
 
 
 def test_latent_adapt_freeze_and_schedule():
-    adapt = LatentAdaptState.fresh(3)
-    s0 = adapt.log_step.copy()
+    adapt = _adapter(3)
+    s0 = adapt.log_scale.copy()
     adapt.update(np.array([True, False, True]))
-    assert adapt.log_step[0] > s0[0]
-    assert adapt.log_step[1] < s0[1]
+    assert adapt.log_scale[0] > s0[0]
+    assert adapt.log_scale[1] < s0[1]
     adapt.iter = 10**6
-    before = adapt.log_step.copy()
+    before = adapt.log_scale.copy()
     adapt.update(np.array([True, True, True]))
-    assert np.abs(adapt.log_step - before).max() < 1e-3
+    assert np.abs(adapt.log_scale - before).max() < 1e-3
     adapt.frozen = True
-    frozen = adapt.log_step.copy()
+    frozen = adapt.log_scale.copy()
     adapt.update(np.array([True, True, True]))
-    np.testing.assert_array_equal(adapt.log_step, frozen)
+    np.testing.assert_array_equal(adapt.log_scale, frozen)
 
 
 def test_extreme_gradient_still_moves_downhill():
@@ -163,7 +166,7 @@ def test_extreme_gradient_still_moves_downhill():
     y = np.array([2.0, 3.0])
     lin = np.zeros(2)
     z = np.array([700.0, 0.5])
-    adapt = LatentAdaptState.fresh(2)
+    adapt = _adapter(2)
     adapt.frozen = True
     lik = loglik_value_grad(PLN, y, z)
     for _ in range(200):
@@ -180,7 +183,7 @@ def test_infinite_target_value_rejects_without_nan():
     y = np.array([2.0, 3.0])
     lin = np.zeros(2)
     z = np.array([800.0, 0.5])
-    adapt = LatentAdaptState.fresh(2)
+    adapt = _adapter(2)
     adapt.frozen = True
     with np.errstate(over="ignore"):
         lik = loglik_value_grad(PLN, y, z)
@@ -228,7 +231,7 @@ def _two_evaluation_sweep(z, y, trials, linpred, sigma2, fam, adapt, rng):
     with np.errstate(over="ignore", invalid="ignore"):
         v0, g0 = vg(z)
         g0h = np.where(np.isfinite(g0), g0, 0.0)
-        xi = np.exp(adapt.log_step) * rng.standard_normal(n)
+        xi = np.exp(adapt.log_scale) * rng.standard_normal(n)
         u_dir = rng.random(n)
         d = np.where(u_dir < expit(xi * g0h), xi, -xi)
         z_prop = z + d
@@ -256,7 +259,7 @@ def test_carried_sweep_matches_two_evaluation_reference():
         else:
             y = data_rng.negative_binomial(2, expit(z0)).astype(float)
         rng_a, rng_b = np.random.default_rng(12), np.random.default_rng(12)
-        adapt_a, adapt_b = LatentAdaptState.fresh(n), LatentAdaptState.fresh(n)
+        adapt_a, adapt_b = _adapter(n), _adapter(n)
         z_a, z_b = z0.copy(), z0.copy()
         with np.errstate(over="ignore", invalid="ignore"):
             lik = loglik_value_grad(fam, y, z_a, trials)

@@ -15,7 +15,6 @@ from ullgm.predictive import (
     BUDGET,
     LOG_PMF_FLOOR,
     QUAD_ORDER,
-    ZApproxMoments,
     approx_z_moments,
     log_predictive_draws,
     lps,
@@ -24,20 +23,36 @@ from ullgm.predictive import (
 )
 
 
+def _col(v):
+    return None if v is None else np.full((1, 1), v, dtype=np.float64)
+
+
+def _one_point(y, trials, linpred, sigma2, family):
+    """Per-draw log predictive of one point's draws, (S,), scored as a (1, S) block."""
+    lin = np.reshape(linpred, (1, -1))
+    return log_predictive_draws(_col(y), _col(trials), lin, sigma2, family)[0]
+
+
+def _moments(y, trials, linpred, sigma2, family):
+    """approx_z_moments of one point's draws: (m, s), each (S,)."""
+    m, s = approx_z_moments(_col(y), _col(trials), np.reshape(linpred, (1, -1)), sigma2, family)
+    return m[0], s[0]
+
+
 def test_sigma_zero_collapses_to_plain_families():
     lin = 0.8
     tiny = 1e-14
     y = np.arange(0, 25, dtype=float)
     for yi in y:
         got = np.exp(
-            log_predictive_draws(
+            _one_point(
                 yi, None, np.array([lin]), np.array([tiny]), PLN
             )
         )[0]
         np.testing.assert_allclose(got, poisson.pmf(yi, np.exp(lin)), rtol=1e-6)
     for yi in range(11):
         got = np.exp(
-            log_predictive_draws(
+            _one_point(
                 float(yi), 10.0, np.array([lin]), np.array([tiny]), BIL
             )
         )[0]
@@ -46,7 +61,7 @@ def test_sigma_zero_collapses_to_plain_families():
     fam = nbl(3)
     for yi in range(15):
         got = np.exp(
-            log_predictive_draws(
+            _one_point(
                 float(yi), None, np.array([lin]), np.array([tiny]), fam
             )
         )[0]
@@ -64,7 +79,7 @@ def test_quadrature_matches_monte_carlo_mixture():
             mc = np.exp(log_pmf(fam, float(yi), zs, trials=tr)).mean()
             mc_se = np.exp(log_pmf(fam, float(yi), zs, trials=tr)).std() / 1000.0
             got = np.exp(
-                log_predictive_draws(
+                _one_point(
                     float(yi), tr, np.array([lin]), np.array([s2]), fam
                 )
             )[0]
@@ -74,12 +89,12 @@ def test_quadrature_matches_monte_carlo_mixture():
 def test_predictive_sums_to_one():
     # bil over its full support, count families far into the tail
     probs = [
-        np.exp(log_predictive_draws(float(yi), 8.0, np.array([0.3]), np.array([0.4]), BIL))[0]
+        np.exp(_one_point(float(yi), 8.0, np.array([0.3]), np.array([0.4]), BIL))[0]
         for yi in range(9)
     ]
     np.testing.assert_allclose(sum(probs), 1.0, atol=1e-10)
     tot = sum(
-        np.exp(log_predictive_draws(float(yi), None, np.array([1.0]), np.array([0.3]), PLN))[0]
+        np.exp(_one_point(float(yi), None, np.array([1.0]), np.array([0.3]), PLN))[0]
         for yi in range(400)
     )
     np.testing.assert_allclose(tot, 1.0, atol=1e-6)
@@ -93,24 +108,24 @@ def test_predictive_pmf_applies_centering():
     alpha, sigma2 = 0.9, 0.25
     lin = alpha + (x_new - col_means) @ beta
     direct = np.exp(
-        log_predictive_draws(3.0, None, np.array([lin]), np.array([sigma2]), PLN)
+        _one_point(3.0, None, np.array([lin]), np.array([sigma2]), PLN)
     )[0]
     got = predictive_pmf(3.0, x_new, alpha, beta, sigma2, PLN, col_means)
     np.testing.assert_allclose(got, direct, rtol=1e-12)
 
 
 def test_moment_matching_anchors():
-    m = approx_z_moments(5.0, None, 0.2, 0.3, PLN)
-    assert np.isfinite(m.m) and m.s > 0
+    m, s = _moments(5.0, None, 0.2, 0.3, PLN)
+    assert np.isfinite(m) and s > 0
     # zero counts anchor at half a count rather than log 0
-    m0 = approx_z_moments(0.0, None, 0.2, 0.3, PLN)
-    assert np.isfinite(m0.m) and m0.s > 0
-    mb = approx_z_moments(0.0, 10.0, 0.0, 0.5, BIL)
-    assert np.isfinite(mb.m)
-    mt = approx_z_moments(10.0, 10.0, 0.0, 0.5, BIL)
-    assert np.isfinite(mt.m)
-    mn = approx_z_moments(4.0, None, 0.1, 0.2, nbl(2))
-    assert np.isfinite(mn.m) and mn.s > 0
+    m0, s0 = _moments(0.0, None, 0.2, 0.3, PLN)
+    assert np.isfinite(m0) and s0 > 0
+    mb, _ = _moments(0.0, 10.0, 0.0, 0.5, BIL)
+    assert np.isfinite(mb)
+    mt, _ = _moments(10.0, 10.0, 0.0, 0.5, BIL)
+    assert np.isfinite(mt)
+    mn, sn = _moments(4.0, None, 0.1, 0.2, nbl(2))
+    assert np.isfinite(mn) and sn > 0
 
 
 def test_far_tail_hits_floor_and_flags():
@@ -188,10 +203,10 @@ def test_single_draw_lps_is_minus_log_pmf():
 
 def _reference_log_predictive_draws(y, trials, linpred, s2, family):
     """The draw-major (S, order) Gauss-Hermite integrand reduced with scipy's logsumexp."""
-    mom = approx_z_moments(y, trials, linpred, s2, family)
-    scale = np.sqrt(2.0 * mom.s)
+    m, s = _moments(y, trials, linpred, s2, family)
+    scale = np.sqrt(2.0 * s)
     t, w = roots_hermite(QUAD_ORDER)
-    zs = mom.m[:, None] + scale[:, None] * t[None, :]
+    zs = m[:, None] + scale[:, None] * t[None, :]
     log_prior = (
         -0.5 * np.log(2.0 * np.pi * s2)[:, None]
         - (zs - linpred[:, None]) ** 2 / (2.0 * s2[:, None])
@@ -229,7 +244,7 @@ def test_scores_match_draw_major_logsumexp_reference():
         for i in range(holdout.n):
             args = (y[i], None if trials is None else trials[i], linpreds[i], draws.sigma2, fam)
             want_draws.append(_reference_log_predictive_draws(*args))
-            got = log_predictive_draws(*args)
+            got = _one_point(*args)
             np.testing.assert_allclose(got, want_draws[-1], rtol=1e-12, atol=1e-12)
         want = np.array([logsumexp(w) - np.log(S) for w in want_draws])
         logp, floored = per_point_log_predictive(holdout, draws, col_means)
@@ -286,7 +301,7 @@ _WIDE_OR_SKEWED = [
 def _assert_matches_quad(cases, rtol):
     for fam, trials, y, lin, s2 in cases:
         got = np.exp(
-            log_predictive_draws(float(y), trials, np.array([lin]), np.array([s2]), fam)
+            _one_point(float(y), trials, np.array([lin]), np.array([s2]), fam)
         )[0]
         want = _quad_predictive(float(y), trials, lin, s2, fam)
         np.testing.assert_allclose(
@@ -333,7 +348,7 @@ def test_impossible_and_overflowing_rows_hit_the_floor():
     )
     holdout = Dataset(y=[1.0], X=np.zeros((1, 1)), family=PLN)
     with np.errstate(over="ignore", invalid="raise"):
-        per_draw = log_predictive_draws(1.0, None, draws.alpha, draws.sigma2, PLN)
+        per_draw = _one_point(1.0, None, draws.alpha, draws.sigma2, PLN)
         logp, floored = per_point_log_predictive(holdout, draws, np.zeros(1))
     np.testing.assert_array_equal(per_draw, LOG_PMF_FLOOR)
     assert np.all(np.isfinite(logp)) and floored[0]
@@ -346,14 +361,14 @@ def _newton_steps(monkeypatch, y, linpred, sigma2, family):
     real = predictive.loglik_grad_curvature
     with monkeypatch.context() as m:
         m.setattr(predictive, "loglik_grad_curvature", lambda *a: calls.append(1) or real(*a))
-        log_predictive_draws(y, None, linpred, sigma2, family)
+        _one_point(y, None, linpred, sigma2, family)
     return len(calls)
 
 
 def _row_by_row(holdout, draws, col_means):
     """Each row scored alone by the 1-D rule, reduced over draws with scipy."""
     logp = np.array([
-        logsumexp(log_predictive_draws(
+        logsumexp(_one_point(
             holdout.y[i], None, draws.alpha + (holdout.X[i] - col_means) @ draws.beta.T,
             draws.sigma2, holdout.family,
         )) - np.log(draws.n_kept)
