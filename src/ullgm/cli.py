@@ -238,7 +238,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
     # the kept draws, effective sample sizes summed over chains (ess_log_g
     # is nan when g is fixed), and the final proposal scales: quantiles of
     # the latent step sizes pooled over chains and the g proposal sd (nan
-    # when g is fixed).
+    # when g is fixed), and the lower tail of the kept sigma2 draws pooled
+    # over chains: its 1% quantile and the share below 1e-3, where a weak
+    # signal lets the 1/sigma2 prior pull draws towards 0.
     fixed_g = np.isnan(out.accept_g)
     step_q = np.quantile(out.latent_step, [0.05, 0.5, 0.95])
     files = [
@@ -289,6 +291,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
                 ("latent_step_q50", step_q[1]),
                 ("latent_step_q95", step_q[2]),
                 ("g_step_sd", out.g_step_sd),
+                ("sigma2_q01", np.quantile(d.sigma2, 0.01)),
+                ("sigma2_frac_below_1e-3", np.mean(d.sigma2 < 1e-3)),
             ],
         ),
     ]
@@ -381,6 +385,16 @@ def _load_draw_store(draws_dir: str) -> tuple[DrawStore, list[str], np.ndarray, 
     beta = np.column_stack(
         [_numeric_column(dpath, header, body, f"beta_{c}") for c in names]
     )
+    # Scores average pmfs over draws, so one bad draw would make every score nan.
+    checks = [("sigma2", sigma2, np.isfinite(sigma2) & (sigma2 > 0.0), "finite and positive")]
+    for name, col in (("alpha", alpha), *((f"beta_{c}", beta[:, j]) for j, c in enumerate(names))):
+        checks.append((name, col, np.isfinite(col), "finite"))
+    for name, col, ok, need in checks:
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise CliError(
+                EXIT_IO, f"{dpath} row {i + 2}, column {name!r}: must be {need}, got {float(col[i])!r}"
+            )
     store = DrawStore(
         alpha=alpha,
         sigma2=sigma2,

@@ -120,11 +120,12 @@ def loglik_grad_curvature(family: FamilyTag, y, z, trials=None):
 
     The curvature is negative, so log f is concave in z: pln -e^z, the logit
     families -N s(1 - s) with s = logistic(z). This serves the predictive
-    quadrature's Newton steps, whose arrays are row chunks of (holdout
-    points x draws) linear predictors, about a thousand elements, with y and
-    trials as (rows, 1) columns. There per-call cost outweighs per-element
-    cost, so s comes from one call to scipy's expit rather than from
-    softplus_expit.
+    quadrature's Newton steps, whose arrays are Newton blocks of (holdout
+    points x draws) linear predictors, up to QUAD_ORDER * BUDGET = 16,384
+    elements, with y and trials as (rows, 1) columns. s comes from scipy's
+    expit, to which the predictive scores are pinned bit for bit. At that
+    size the exp(-|z|) form of softplus_expit is about twice as fast (52
+    against 98 us on a 2-vCPU Xeon), but it moves s by a few ulp.
     """
     if family.name == "pln":
         ez = np.exp(z)

@@ -13,19 +13,25 @@ anchor against the N(linpred, sigma2) prior and is moved to the mode by
 Newton steps. The rule is exact for a Gaussian integrand, and no window
 truncates the tails.
 
-Holdout points are scored in row chunks of BUDGET // S points, so memory
-stays bounded by the chunk, not the holdout. A chunk's linear predictors
-form a (rows, S) block, with (rows, 1) outcomes and trials and sigma2 per
-draw: the one input shape of the kernels (predictive_pmf builds a (1, 1)
-one). Its nodes form one node-major (order, rows, S) grid, so each
-reduction runs over contiguous slices. The log integrand is built in place
-in the log_pmf output, with log weights log w + t^2; the per-draw constants
-(log sqrt(2 s) and the Gaussian normaliser) are added after the reduction
-over nodes, since they do not vary across nodes. Both reductions, over
-nodes and then over draws, are max-shifted log-sum-exps. A draw whose
-integrand is -inf or underflows at every node gets -inf before the floor,
-never NaN: a non-finite shift is reset to 0. Draw-level probabilities are
-floored at 1e-300 and averaged before the log, so the score of draw s is
+Holdout points are scored in Newton blocks of QUAD_ORDER * BUDGET // S
+points, so memory stays bounded by the block, not the holdout. A block's
+linear predictors form a (rows, S) array, with (rows, 1) outcomes and
+trials and sigma2 per draw: the one input shape of the kernels
+(predictive_pmf builds a (1, 1) one). Newton re-centring runs once over the
+whole block, so its many small numpy calls are paid per block of about
+QUAD_ORDER * BUDGET linear predictors, the size of one node grid. The
+node-major (order, rows, S) grid is built in tiles of at most BUDGET linear
+predictors: BUDGET // S rows per tile while S <= BUDGET, else one row per
+tile with its draws split into column tiles of BUDGET, so no grid
+temporary grows with S. Each reduction over nodes runs over contiguous
+slices. The log integrand is built in place in the log_pmf output, with
+log weights log w + t^2; the per-draw constants (log sqrt(2 s) and the
+Gaussian normaliser) are added once per block after the reduction over
+nodes, since they do not vary across nodes. Both reductions, over nodes and
+then over draws, are max-shifted log-sum-exps. A draw whose integrand is
+-inf or underflows at every node gets -inf before the floor, never NaN: a
+non-finite shift is reset to 0. Draw-level probabilities are floored at
+1e-300 and averaged before the log, so the score of draw s is
 never -inf and rare events stay finite.
 """
 
@@ -46,10 +52,11 @@ LOG_PMF_FLOOR = float(np.log(PMF_FLOOR))
 # stop, row by row, once no draw's step exceeds NEWTON_TOL_SDS posterior sds.
 NEWTON_TOL_SDS = 0.25
 NEWTON_MAX_STEPS = 6
-# Linear predictors (holdout points x draws) scored per chunk. At 1024 each
-# (QUAD_ORDER, rows, S) temporary stays under 128 KB, glibc's default mmap
-# threshold, so chunks reuse heap memory; larger grids were mapped afresh and
-# page-faulted in on every chunk, which cost more than the per-chunk calls.
+# Linear predictors (holdout points x draws) per node-grid tile; a Newton
+# block holds QUAD_ORDER tiles' worth. At 1024 each (QUAD_ORDER, rows, c)
+# grid temporary, and each Newton array, stays within 128 KB, glibc's default
+# mmap threshold, so tiles reuse heap memory; larger grids were mapped afresh
+# and page-faulted in on every tile, which cost more than the per-tile calls.
 BUDGET = 1024
 
 
@@ -132,19 +139,30 @@ def log_predictive_draws(y, trials, lin, sigma2, family: FamilyTag) -> np.ndarra
     """Per-draw log predictive probability of holdout outcomes.
 
     Takes the block of approx_z_moments: lin (rows, S), y and trials (rows,
-    1), sigma2 per draw. The result is (rows, S), floored at log(1e-300).
+    1), sigma2 a scalar or one value per draw. The result is (rows, S),
+    floored at log(1e-300). The node grid is built one tile of at most
+    BUDGET linear predictors at a time (see the module docstring); tiles
+    only slice elementwise work, so the result does not depend on BUDGET.
     """
-    s2 = np.asarray(sigma2, dtype=np.float64)
+    n_rows, S = lin.shape
+    s2 = np.broadcast_to(np.asarray(sigma2, dtype=np.float64), (S,))
     m, s = approx_z_moments(y, trials, lin, s2, family)
     scale = np.sqrt(2.0 * s)
-    zs = m + _GH_T[:, None, None] * scale  # (order, rows, S)
-    log_f = log_pmf(family, y, zs, trials)
-    zs -= lin
-    np.square(zs, out=zs)
-    zs /= 2.0 * s2
-    log_f -= zs
-    log_f += _GH_LOG_W[:, None, None]
-    out = _log_sum_exp(log_f, axis=0)
+    out = np.empty((n_rows, S))
+    tile_rows, tile_cols = max(1, BUDGET // S), min(S, BUDGET)
+    for a in range(0, n_rows, tile_rows):
+        rs = slice(a, a + tile_rows)
+        yr, tr = y[rs], None if trials is None else trials[rs]
+        for c in range(0, S, tile_cols):
+            cs = slice(c, c + tile_cols)
+            zs = m[rs, cs] + _GH_T[:, None, None] * scale[rs, cs]  # (order, rows, cols)
+            log_f = log_pmf(family, yr, zs, tr)
+            zs -= lin[rs, cs]
+            np.square(zs, out=zs)
+            zs /= 2.0 * s2[cs]
+            log_f -= zs
+            log_f += _GH_LOG_W[:, None, None]
+            out[rs, cs] = _log_sum_exp(log_f, axis=0)
     out += np.log(scale) - 0.5 * np.log(2.0 * np.pi * s2)
     np.maximum(out, LOG_PMF_FLOOR, out=out)
     return out
@@ -179,7 +197,7 @@ def per_point_log_predictive(
     Xc_new = holdout.X - col_means[None, :]
     y = holdout.y[:, None]
     trials = None if holdout.trials is None else holdout.trials[:, None]
-    rows = max(1, BUDGET // draws.n_kept)
+    rows = max(1, QUAD_ORDER * BUDGET // draws.n_kept)
     logp = np.empty(holdout.n)
     for a in range(0, holdout.n, rows):
         b = a + rows

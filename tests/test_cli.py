@@ -62,6 +62,7 @@ def test_fit_writes_expected_files(tmp_path):
         "accept_model", "accept_g", "accept_latent", "distinct_models",
         "ess_alpha", "ess_sigma2", "ess_log_g", "ess_model_size",
         "latent_step_q05", "latent_step_q50", "latent_step_q95", "g_step_sd",
+        "sigma2_q01", "sigma2_frac_below_1e-3",
     }
     assert 0.0 < stats["accept_latent"] < 1.0 and 0.0 <= stats["accept_model"] <= 1.0
     # g = n here, so it has no chain to mix
@@ -69,6 +70,14 @@ def test_fit_writes_expected_files(tmp_path):
     assert np.isnan(stats["g_step_sd"])
     assert 0.0 < stats["latent_step_q05"] <= stats["latent_step_q50"] <= stats["latent_step_q95"]
     assert stats["ess_alpha"] > 0.0 and stats["ess_sigma2"] > 0.0
+    # the sigma2 tail rows read the kept draws, as draws.csv saves them
+    tail_out = tmp_path / "run_draws"
+    assert main(_fit_args(inp, tail_out, ("--save-draws",))) == EXIT_OK
+    assert (tail_out / "diagnostics.csv").read_bytes() == (out / "diagnostics.csv").read_bytes()
+    header, rows = _read_csv(tail_out / "draws.csv")
+    sigma2 = np.array([float(r[header.index("sigma2")]) for r in rows])
+    assert stats["sigma2_q01"] == np.quantile(sigma2, 0.01) > 0.0
+    assert stats["sigma2_frac_below_1e-3"] == np.mean(sigma2 < 1e-3)
     # with four covariates every visited pattern fits in top_models.csv
     _, top_rows = _read_csv(out / "top_models.csv")
     assert stats["distinct_models"] == len(top_rows) and 1 <= len(top_rows) <= 16
@@ -315,6 +324,26 @@ def test_predict_and_cv(tmp_path, capsys):
         capsys.readouterr()
         assert predict(empty, tmp_path / "pred_empty") == EXIT_IO, name
         assert capsys.readouterr().err.startswith(f"error: {path} holds no rows"), name
+    # a draw with a non-positive or nan sigma2, or a non-finite alpha or beta, is rejected
+    draws_header, draws_rows = _read_csv(fit_out / "draws.csv")
+    beta_col = next(c for c in draws_header if c.startswith("beta_"))
+    for col, value, need in (
+        ("sigma2", "-0.5", "finite and positive"),
+        ("sigma2", "nan", "finite and positive"),
+        ("alpha", "inf", "finite"),
+        (beta_col, "nan", "finite"),
+    ):
+        bad = tmp_path / f"bad_{col}_{value}"
+        shutil.copytree(fit_out, bad)
+        rows = [list(r) for r in draws_rows]
+        rows[1][draws_header.index(col)] = value
+        path = bad / "draws.csv"
+        path.write_text("\n".join(",".join(r) for r in [draws_header, *rows]) + "\n")
+        capsys.readouterr()
+        assert predict(bad, tmp_path / "pred_bad") == EXIT_IO, (col, value)
+        want = f"error: {path} row 3, column {col!r}: must be {need}, got {float(value)!r}"
+        assert capsys.readouterr().err.startswith(want), (col, value)
+        assert not (tmp_path / "pred_bad").exists()
     header, rows = _read_csv(pred_out / "predictions.csv")
     assert header == ["index", "y", "log_prob", "floored"]
     assert len(rows) == 20

@@ -406,12 +406,46 @@ def test_chunks_score_each_row_as_if_alone(monkeypatch):
     assert steps == [1, predictive.NEWTON_MAX_STEPS, 1]
     want, want_floored = _row_by_row(holdout, draws, col_means)
     assert want_floored.tolist() == [False, False, False, True, False, False, False]
-    # Three rows per chunk: chunks [0, 3), [3, 6) and [6, 7).
-    monkeypatch.setattr(predictive, "BUDGET", 3 * S + 1)
+    # Newton blocks of three rows, [0, 3), [3, 6) and [6, 7), each scored
+    # in grid tiles of one row and eight draws.
+    monkeypatch.setattr(predictive, "BUDGET", 8)
+    assert QUAD_ORDER * predictive.BUDGET // S == 3
     with np.errstate(over="ignore"):
         logp, floored = per_point_log_predictive(holdout, draws, col_means)
     np.testing.assert_allclose(logp, want, rtol=1e-13)
     np.testing.assert_array_equal(floored, want_floored)
+
+
+def test_grid_tiles_give_bit_identical_scores(monkeypatch):
+    rng = np.random.default_rng(4)
+    S = 40
+    holdout, draws = _chunk_case(rng, S)
+    lin, y = draws.alpha + holdout.X @ draws.beta.T, holdout.y[:, None]
+    bil_trials = np.full((holdout.n, 1), holdout.y.max())
+    # Column tiles of 7 draws, tiles of 3 rows, and one tile for the block.
+    budgets = (7, 3 * S + 1, 10**9)
+    for fam, trials in ((PLN, None), (BIL, bil_trials), (nbl(2), None)):
+        got = []
+        for budget in budgets:
+            monkeypatch.setattr(predictive, "BUDGET", budget)
+            with np.errstate(over="ignore"):
+                got.append(log_predictive_draws(y, trials, lin, draws.sigma2, fam))
+        assert np.all(np.isfinite(got[0])), fam.name
+        for other in got[1:]:
+            np.testing.assert_array_equal(other, got[0], err_msg=fam.name)
+    # One Newton re-centring per block of QUAD_ORDER * BUDGET // S rows.
+    real = predictive.approx_z_moments
+    for budget, blocks in ((7, 4), (8, 3), (10**9, 1)):
+        calls = []
+        monkeypatch.setattr(predictive, "BUDGET", budget)
+        monkeypatch.setattr(
+            predictive, "approx_z_moments", lambda *a: calls.append(a[2].shape) or real(*a)
+        )
+        rows = QUAD_ORDER * budget // S
+        with np.errstate(over="ignore"):
+            per_point_log_predictive(holdout, draws, np.zeros(1))
+        assert len(calls) == blocks, budget
+        assert calls[0] == (min(rows, holdout.n), S), budget
 
 
 def test_more_draws_than_the_budget_score_one_row_per_chunk():
@@ -444,3 +478,24 @@ def test_memory_stays_bounded_as_the_holdout_grows():
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < 256 * 1024, peaks
+
+
+def test_memory_grows_sublinearly_in_the_draw_count():
+    # One row's (QUAD_ORDER, 1, S) node grid peaked at 8.5 MB here. Column
+    # tiles of BUDGET draws leave the Newton block's (1, S) arrays, about 104
+    # bytes per draw (2.1 MB).
+    rng = np.random.default_rng(9)
+    S, p = 20_000, 3
+    draws = _random_draws(rng, S, p)
+    holdout = Dataset(
+        y=np.array([0.0, 2.0, 5.0]), X=rng.normal(size=(3, p)), family=PLN
+    )
+    per_point_log_predictive(holdout, draws, np.zeros(p))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        per_point_log_predictive(holdout, draws, np.zeros(p))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 1024 * 1024, peak
