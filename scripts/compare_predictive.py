@@ -1,10 +1,11 @@
-"""Out-of-sample comparison: latent-noise model vs its pinned-variance limit.
+"""Out-of-sample comparison: latent-noise model vs the same sampler with
+sigma2 pinned near zero.
 
 Generates one overdispersed dataset, then scores random train/test splits
 with the log predictive score under (a) the full model with sigma2 sampled
-and (b) the same sampler with sigma2 pinned near zero, which collapses the
-likelihood to the plain GLM. Lower LPS is better; the gap is the price of
-ignoring overdispersion.
+and (b) the same sampler with sigma2 pinned at 1e-8. Beta's prior variance
+is g sigma2, so at g = n its prior sd is about 1e-4 and (b) is close to an
+intercept-only fit, not a GLM on the covariates. Lower LPS is better.
 
 Usage:
     python scripts/compare_predictive.py --family pln --splits 10

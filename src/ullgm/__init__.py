@@ -14,7 +14,6 @@ from .core import (
     DegenerateZ,
     FamilyTag,
     FixedG,
-    GaussianLayerState,
     HyperGOverN,
     ModelIndicator,
     PLN,
@@ -42,7 +41,6 @@ __all__ = [
     "DrawStore",
     "FamilyTag",
     "FixedG",
-    "GaussianLayerState",
     "HyperGOverN",
     "MetricsReport",
     "ModelIndicator",

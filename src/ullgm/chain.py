@@ -1,17 +1,8 @@
 """Partially collapsed Gibbs sampler over (M, g, sigma2, alpha, beta, z).
 
-Update order within one iteration is fixed and load-bearing:
-
-    1. model move given z (beta, alpha, sigma2 integrated out)
-    2. g move given (z, M) when g carries the hyper prior
-    3. sigma2 | z, M, g
-    4. alpha | z, sigma2
-    5. beta_k | z, sigma2, M, g
-    6. one Barker sweep over z given (alpha, beta, sigma2)
-
-Because step 1 works with the z-marginal rather than the full conditional
-given beta, permuting it past the parameter draws would change the
-stationary law; resist the temptation.
+One chain is a ChainState from init_chain advanced by step, once per
+iteration; run_chain adds the burn-in freeze of the adapters, the finite
+checks and the recording of kept draws. The update order lives in step.
 """
 
 from __future__ import annotations
@@ -23,8 +14,6 @@ import numpy as np
 from .core import (
     Dataset,
     DegenerateZ,
-    FixedG,
-    GaussianLayerState,
     HyperGOverN,
     ModelIndicator,
     PosteriorImproprietyRisk,
@@ -49,7 +38,10 @@ class ChainConfig:
     thin: int = 1
     seed: int = 0
     store_beta: bool = True
-    fixed_sigma2: float | None = None  # pin sigma2 (no draw); tiny value ~ GLM limit
+    # Pin sigma2 (no draw). Beta's prior variance is g sigma2, so a tiny
+    # value also pins beta near 0: at g = n, sigma2 = 1e-8 the chain is
+    # close to intercept-only, not a GLM.
+    fixed_sigma2: float | None = None
 
     def __post_init__(self) -> None:
         if self.n_iter < 1:
@@ -138,9 +130,31 @@ class ChainOutput:
         return float((sizes * self.model_size_counts).sum() / total)
 
 
-def init_chain(
-    data: Dataset, prior: PriorConfig, config: ChainConfig
-) -> tuple[ModelIndicator, GaussianLayerState]:
+@dataclass(eq=False)
+class ChainState:
+    """Everything one iteration reads or writes, and what is derived once
+    per chain. `step` mutates it in place."""
+
+    M: ModelIndicator  # held by `cache`
+    z: np.ndarray
+    lik: tuple[np.ndarray, np.ndarray]  # likelihood (value, gradient) at z, carried sweep to sweep
+    alpha: float
+    sigma2: float
+    g: float
+    beta_full: np.ndarray  # length p, zeros outside M
+    cache: SuffStatsCache
+    adapt_z: ScaleAdapter  # log step sds of the latent sweep
+    adapt_g: ScaleAdapter  # log proposal variance of the g walk
+    params: ModelPriorParams
+    hyper: bool  # g carries the hyper-g/n prior
+    fixed_sigma2: float | None  # pinned sigma2, or None when it is drawn
+    t: int = 0  # iterations done
+    n_accept_model: int = 0
+    n_accept_g: int = 0
+    sum_accept_latent: float = 0.0  # per-iteration accepted fraction of the sweep
+
+
+def init_chain(data: Dataset, prior: PriorConfig, config: ChainConfig) -> ChainState:
     """Deterministic starting state: null model, z from a data transform."""
     y = data.y
     fam = data.family.name
@@ -152,11 +166,84 @@ def init_chain(
         z0 = np.log(float(data.family.r)) - np.log(y + 0.5)
     sigma2 = config.fixed_sigma2 if config.fixed_sigma2 is not None else 1.0
     gp = prior.gprior
-    g = gp.g0 if isinstance(gp, FixedG) else hyper_g_over_n_ppf(0.5, gp.a, data.n)
-    state = GaussianLayerState(
-        z=z0, alpha=float(z0.mean()), beta=np.zeros(data.p), sigma2=float(sigma2), g=float(g)
+    hyper = isinstance(gp, HyperGOverN)
+    g = hyper_g_over_n_ppf(0.5, gp.a, data.n) if hyper else gp.g0
+    M = ModelIndicator.null(data.p)
+    cache = SuffStatsCache(center_design(data.X))
+    cache.chol(M)  # M is the held model from here on
+    return ChainState(
+        M=M,
+        z=z0,
+        lik=loglik_value_grad(data.family, y, z0, data.trials),
+        alpha=float(z0.mean()),
+        sigma2=float(sigma2),
+        g=float(g),
+        beta_full=np.zeros(data.p),
+        cache=cache,
+        adapt_z=ScaleAdapter(np.zeros(data.n), BARKER_TARGET_ACC),
+        adapt_g=ScaleAdapter(0.0, G_TARGET_ACC),
+        params=ModelPriorParams.from_expected_size(data.p, prior.model_size),
+        hyper=hyper,
+        fixed_sigma2=config.fixed_sigma2,
     )
-    return ModelIndicator.null(data.p), state
+
+
+def step(state: ChainState, data: Dataset, prior: PriorConfig, rng: np.random.Generator) -> None:
+    """One iteration, updating state in place. The order is fixed and
+    load-bearing:
+
+        1. model move given z (beta, alpha, sigma2 integrated out)
+        2. g move given (z, M) when g carries the hyper prior
+        3. sigma2 | z, M, g
+        4. alpha | z, sigma2
+        5. beta_k | z, sigma2, M, g
+        6. one Barker sweep over z given (alpha, beta, sigma2)
+
+    Because step 1 works with the z-marginal rather than the full
+    conditional given beta, permuting it past the parameter draws would
+    change the stationary law; resist the temptation. With sigma2 pinned,
+    steps 1 and 2 condition on it instead of integrating it out, and step 3
+    is skipped.
+    """
+    n, cache, fixed_sigma2 = data.n, state.cache, state.fixed_sigma2
+    try:
+        cache.set_z(state.z)
+    except DegenerateZ as exc:
+        raise DegenerateZ(f"{exc} (model move, iteration {state.t})") from exc
+    g = state.g
+    M, accepted = model_mh_step(
+        state.M,
+        lambda drop, add: cache.move_log_marginal(drop, add, g, fixed_sigma2),
+        state.params,
+        rng,
+    )
+    if accepted:
+        cache.chol(M)  # hold the accepted model
+    state.n_accept_model += accepted
+    s = cache.light_stats(M)
+    if state.hyper:
+        g, g_accepted = mh_update_g(
+            g,
+            lambda gi: cache.log_marginal(M, gi, fixed_sigma2),
+            n,
+            prior.gprior.a,
+            state.adapt_g,
+            rng,
+        )
+        state.n_accept_g += g_accepted
+    sigma2 = sample_sigma2(s, M.p_k, n, g, rng) if fixed_sigma2 is None else fixed_sigma2
+    alpha = sample_alpha(s, n, sigma2, rng)
+    beta_full = state.beta_full
+    beta_full[:] = 0.0
+    if M.p_k:
+        beta_full[M.indices] = cache.sample_beta(M, sigma2, g, rng)
+    linpred = alpha + cache.design.Xc @ beta_full
+    z, lat_accepted, state.lik = update_all_latents(
+        state.z, state.lik, data.y, data.trials, linpred, sigma2, data.family, state.adapt_z, rng
+    )
+    state.sum_accept_latent += np.count_nonzero(lat_accepted) / n
+    state.M, state.z, state.alpha, state.sigma2, state.g = M, z, alpha, sigma2, g
+    state.t += 1
 
 
 def summarize(
@@ -203,95 +290,48 @@ def run_chain(data: Dataset, prior: PriorConfig, config: ChainConfig) -> ChainOu
     if not report.ok:
         exc = StructuralError if report.code == "structural" else PosteriorImproprietyRisk
         raise exc(report.message)
-    n, p = data.n, data.p
-    params = ModelPriorParams.from_expected_size(p, prior.model_size)
-
-    design = center_design(data.X)
-    cache = SuffStatsCache(design)
     rng = np.random.default_rng(config.seed)
-    hyper = isinstance(prior.gprior, HyperGOverN)
-
-    M, state = init_chain(data, prior, config)
-    cache.chol(M)  # M is the held model from here on
-    z, alpha, sigma2, g = state.z.copy(), state.alpha, state.sigma2, state.g
-    beta_full = state.beta.copy()
+    state = init_chain(data, prior, config)
 
     burn_in = config.resolved_burn_in()
-    keep_iters = range(burn_in, config.n_iter, config.thin)
-    n_keep = len(keep_iters)
-    adapt_z = ScaleAdapter(np.zeros(n), BARKER_TARGET_ACC)  # log step sds
-    adapt_g = ScaleAdapter(0.0, G_TARGET_ACC)  # log proposal variance
-
+    n_keep = len(range(burn_in, config.n_iter, config.thin))
     store = DrawStore(
         alpha=np.empty(n_keep),
         sigma2=np.empty(n_keep),
         g=np.empty(n_keep),
-        included=np.empty((n_keep, p), dtype=bool),
-        beta=np.empty((n_keep, p)) if config.store_beta else None,
+        included=np.empty((n_keep, data.p), dtype=bool),
+        beta=np.empty((n_keep, data.p)) if config.store_beta else None,
     )
-
-    y, trials = data.y, data.trials
-    # Likelihood (value, gradient) at z, carried from sweep to sweep.
-    lik = loglik_value_grad(data.family, y, z, trials)
-    acc_model = 0
-    acc_g = 0
-    acc_latent = 0.0
     kept = 0
     for t in range(config.n_iter):
         if t == burn_in:
-            adapt_z.frozen = True
-            adapt_g.frozen = True
-
-        try:
-            cache.set_z(z)
-        except DegenerateZ as exc:
-            raise DegenerateZ(f"{exc} (model move, iteration {t})") from exc
-        M, accepted = model_mh_step(
-            M, lambda drop, add: cache.move_log_marginal(drop, add, g), params, rng
-        )
-        if accepted:
-            cache.chol(M)  # hold the accepted model
-        acc_model += accepted
-        s = cache.light_stats(M)
-        if hyper:
-            g, g_accepted = mh_update_g(
-                g, lambda gi: cache.log_marginal(M, gi), n, prior.gprior.a, adapt_g, rng
-            )
-            acc_g += g_accepted
-        if config.fixed_sigma2 is None:
-            sigma2 = sample_sigma2(s, M.p_k, n, g, rng)
-        alpha = sample_alpha(s, n, sigma2, rng)
-        beta_full[:] = 0.0
-        if M.p_k:
-            beta_full[M.indices] = cache.sample_beta(M, sigma2, g, rng)
-        linpred = alpha + design.Xc @ beta_full
-        z, lat_accepted, lik = update_all_latents(
-            z, lik, y, trials, linpred, sigma2, data.family, adapt_z, rng
-        )
-        acc_latent += np.count_nonzero(lat_accepted) / n
-
+            state.adapt_z.frozen = True
+            state.adapt_g.frozen = True
+        step(state, data, prior, rng)
+        alpha, sigma2, g = state.alpha, state.sigma2, state.g
         if not (np.isfinite(alpha) and np.isfinite(sigma2) and sigma2 > 0 and np.isfinite(g)):
             raise RuntimeError(f"non-finite sampler state at iteration {t}")
-        if not np.all(np.isfinite(z)):
+        if not np.all(np.isfinite(state.z)):
             raise RuntimeError(f"non-finite latent vector at iteration {t}")
 
         if t >= burn_in and (t - burn_in) % config.thin == 0:
             store.alpha[kept] = alpha
             store.sigma2[kept] = sigma2
             store.g[kept] = g
-            store.included[kept] = M.included
+            store.included[kept] = state.M.included
             if store.beta is not None:
-                store.beta[kept] = beta_full
+                store.beta[kept] = state.beta_full
             kept += 1
 
+    hyper = state.hyper
     return summarize(
         store,
-        design.col_means,
-        accept_model=acc_model / config.n_iter,
-        accept_g=acc_g / config.n_iter if hyper else np.nan,
-        accept_latent=acc_latent / config.n_iter,
-        latent_step=np.exp(adapt_z.log_scale),
-        g_step_sd=step_sd(adapt_g) if hyper else np.nan,
+        state.cache.design.col_means,
+        accept_model=state.n_accept_model / config.n_iter,
+        accept_g=state.n_accept_g / config.n_iter if hyper else np.nan,
+        accept_latent=state.sum_accept_latent / config.n_iter,
+        latent_step=np.exp(state.adapt_z.log_scale),
+        g_step_sd=step_sd(state.adapt_g) if hyper else np.nan,
     )
 
 

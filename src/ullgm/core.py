@@ -295,17 +295,6 @@ class PriorConfig:
             raise ValueError("model_size must be positive and finite")
 
 
-@dataclass(frozen=True)
-class GaussianLayerState:
-    """One sampler state of the Gaussian layer: latent z and (alpha, beta, sigma2, g)."""
-
-    z: np.ndarray
-    alpha: float
-    beta: np.ndarray  # length p, zeros outside the current model
-    sigma2: float
-    g: float
-
-
 @dataclass
 class ScaleAdapter:
     """Log proposal scale (float or per-coordinate array); each update adds

@@ -17,12 +17,9 @@ families pay for one exponential per element.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit, gammaln, ndtr
+from scipy.special import expit, gammaln
 
 from .core import FamilyTag
-
-# Logistic cdf ~ probit matching constant: slopes agree at the origin.
-LOGISTIC_PROBIT_B = float(np.sqrt(np.pi / 8.0))
 
 
 def softplus(z):
@@ -134,31 +131,3 @@ def loglik_grad_curvature(family: FamilyTag, y, z, trials=None):
     sig = expit(z)
     return a - N * sig, -N * (sig * (1.0 - sig))
 
-
-def pln_moments(linpred, sigma2):
-    """Marginal mean, variance and dispersion of a pln outcome.
-
-    With z ~ N(linpred, sigma2) and y | z ~ Poisson(e^z):
-        mean = exp(linpred + sigma2/2)
-        var  = mean + mean^2 (e^{sigma2} - 1)
-        dispersion = var / mean = 1 + mean (e^{sigma2} - 1)
-    """
-    linpred, s2 = _as_float_arrays(linpred, sigma2)
-    mean = np.exp(linpred + s2 / 2.0)
-    extra = np.expm1(s2)
-    var = mean + mean**2 * extra
-    disp = 1.0 + mean * extra
-    return _maybe_scalar(mean), _maybe_scalar(var), _maybe_scalar(disp)
-
-
-def bil_mean_approx(linpred, sigma2, trials):
-    """Approximate marginal mean of a bil outcome.
-
-    E[N logistic(z)] with z ~ N(linpred, sigma2), using the probit stand-in
-    logistic(x) ~ Phi(b x): the Gaussian convolution then closes to
-    N Phi(b linpred / sqrt(1 + b^2 sigma2)).
-    """
-    linpred, s2, N = _as_float_arrays(linpred, sigma2, trials)
-    b = LOGISTIC_PROBIT_B
-    out = N * ndtr(b * linpred / np.sqrt(1.0 + b * b * s2))
-    return _maybe_scalar(out)

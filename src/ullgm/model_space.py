@@ -50,13 +50,6 @@ class ModelPriorParams:
         return ModelPriorParams(p=p, a=1.0, b=(p - m) / m)
 
 
-def log_model_prior(M: ModelIndicator, params: ModelPriorParams, rankflag: bool) -> float:
-    """log prior of one specific model (not of its size class)."""
-    if not rankflag:
-        return -np.inf
-    return params.size_logp[M.p_k]
-
-
 class AdsProposal(NamedTuple):
     """One add/delete/swap move: covariate `drop` leaves the model and `add`
     enters it, None where the move has no such covariate."""

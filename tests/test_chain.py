@@ -25,7 +25,7 @@ from ullgm.core import (
 from ullgm.latent import BARKER_TARGET_ACC, update_all_latents
 from ullgm.likelihoods import loglik_value_grad
 from ullgm.linear_gaussian import SuffStatsCache
-from ullgm.model_space import ModelPriorParams, log_model_prior, model_mh_step
+from ullgm.model_space import ModelPriorParams, model_mh_step
 
 
 def _dataset(n=60, p=5, seed=0, family=PLN, trials=None):
@@ -63,21 +63,49 @@ def test_config_validation():
 def test_init_chain_state():
     data = _dataset()
     prior = _prior(data)
-    M, state = init_chain(data, prior, ChainConfig(n_iter=10))
-    assert M.p_k == 0
+    state = init_chain(data, prior, ChainConfig(n_iter=10))
+    assert state.M.p_k == 0
+    assert state.cache.held is state.M
     np.testing.assert_allclose(state.z, np.log(data.y + 0.5))
     assert state.sigma2 == 1.0
     np.testing.assert_allclose(state.alpha, state.z.mean())
     assert state.g == data.n
+    np.testing.assert_array_equal(state.beta_full, np.zeros(data.p))
+    assert not state.hyper and state.fixed_sigma2 is None
 
     datab = _dataset(family=BIL, trials=12)
-    Mb, sb = init_chain(datab, _prior(datab), ChainConfig(n_iter=10))
+    sb = init_chain(datab, _prior(datab), ChainConfig(n_iter=10))
     want = np.log((datab.y + 0.5) / (datab.trials - datab.y + 0.5))
     np.testing.assert_allclose(sb.z, want)
 
     datan = _dataset(family=nbl(2))
-    Mn, sn = init_chain(datan, _prior(datan), ChainConfig(n_iter=10))
+    sn = init_chain(datan, _prior(datan), ChainConfig(n_iter=10))
     np.testing.assert_allclose(sn.z, np.log(2.0) - np.log(datan.y + 0.5))
+
+
+def test_step_loop_reproduces_run_chain():
+    # init_chain plus a hand loop of step, with the adapters frozen at
+    # burn-in, is run_chain's iteration: the kept draws agree bit for bit
+    data = _dataset(n=40, p=4)
+    prior = PriorConfig(gprior=HyperGOverN(a=3.0), model_size=2.0)
+    cfg = ChainConfig(n_iter=120, burn_in=60, thin=3, seed=8)
+    out = run_chain(data, prior, cfg)
+
+    state = init_chain(data, prior, cfg)
+    rng = np.random.default_rng(cfg.seed)
+    alpha, g, beta = [], [], []
+    for t in range(cfg.n_iter):
+        if t == cfg.burn_in:
+            state.adapt_z.frozen = state.adapt_g.frozen = True
+        chain_module.step(state, data, prior, rng)
+        if t >= cfg.burn_in and (t - cfg.burn_in) % cfg.thin == 0:
+            alpha.append(state.alpha)
+            g.append(state.g)
+            beta.append(state.beta_full.copy())
+    assert state.t == cfg.n_iter and state.n_accept_g > 0
+    np.testing.assert_array_equal(out.draws.alpha, alpha)
+    np.testing.assert_array_equal(out.draws.g, g)
+    np.testing.assert_array_equal(out.draws.beta, beta)
 
 
 def test_run_chain_is_deterministic():
@@ -217,10 +245,10 @@ def test_joint_distribution_forward_vs_gibbs():
 
     size_prior = np.zeros(p + 1)
     for M in models:
-        size_prior[M.p_k] += np.exp(log_model_prior(M, params, True))
+        size_prior[M.p_k] += np.exp(params.size_logp[M.p_k])
 
     def draw_model_from_prior(r):
-        logw = np.array([log_model_prior(M, params, True) for M in models])
+        logw = np.array([params.size_logp[M.p_k] for M in models])
         w = np.exp(logw - logw.max())
         w /= w.sum()
         return models[r.choice(len(models), p=w)]

@@ -1,4 +1,4 @@
-"""Count-layer log pmfs, gradients, and observable-scale moments."""
+"""Count-layer log pmfs and gradients."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -7,10 +7,8 @@ from scipy.special import expit, gammaln
 
 from ullgm.core import BIL, PLN, nbl
 from ullgm.likelihoods import (
-    bil_mean_approx,
     log_pmf,
     loglik_value_grad,
-    pln_moments,
     softplus,
     softplus_expit,
 )
@@ -150,37 +148,3 @@ def test_fused_softplus_expit_edges():
     assert sig[1] > 0.0 and sig[0] == 0.0 and sig[-1] == 1.0
     np.testing.assert_array_equal(sp, softplus(z))
 
-
-def test_pln_moments_known_values():
-    mean, var, disp = pln_moments(0.0, 0.2)
-    np.testing.assert_allclose(mean, np.exp(0.1), rtol=1e-14)
-    np.testing.assert_allclose(disp, 1.0 + np.exp(0.1) * np.expm1(0.2), rtol=1e-14)
-    np.testing.assert_allclose(var, mean * disp, rtol=1e-14)
-    # sigma2 -> 0 recovers Poisson equidispersion
-    _, _, d0 = pln_moments(1.3, 0.0)
-    np.testing.assert_allclose(d0, 1.0, rtol=1e-14)
-
-
-def test_pln_moments_match_simulation():
-    rng = np.random.default_rng(11)
-    lin, s2 = 0.7, 0.4
-    z = lin + rng.normal(scale=np.sqrt(s2), size=2 * 10**6)
-    y = rng.poisson(np.exp(z))
-    mean, var, _ = pln_moments(lin, s2)
-    np.testing.assert_allclose(y.mean(), mean, rtol=5e-3)
-    np.testing.assert_allclose(y.var(), var, rtol=2e-2)
-
-
-def test_bil_mean_approx_sigma_zero():
-    # exact value N*expit(1) at sigma2=0, approximation within 1 percent
-    got = bil_mean_approx(1.0, 0.0, 30.0)
-    np.testing.assert_allclose(got, 30.0 * expit(1.0), rtol=0.01)
-
-
-def test_bil_mean_approx_vs_monte_carlo():
-    rng = np.random.default_rng(5)
-    lin, s2, N = 1.0, 1.0, 30.0
-    z = lin + rng.normal(scale=1.0, size=10**7)
-    mc = (N * expit(z)).mean()
-    got = bil_mean_approx(lin, s2, N)
-    np.testing.assert_allclose(got, mc, rtol=0.02)

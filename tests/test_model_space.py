@@ -12,7 +12,6 @@ from ullgm.linear_gaussian import SuffStatsCache, log_marginal, suff_stats
 from ullgm.model_space import (
     AdsProposal,
     ModelPriorParams,
-    log_model_prior,
     model_mh_step,
     propose_ads,
 )
@@ -21,12 +20,7 @@ from ullgm.model_space import (
 def _prior_pmf_by_size(p, m):
     params = ModelPriorParams.from_expected_size(p, m)
     sizes = np.arange(p + 1)
-    per_model = np.array(
-        [
-            np.exp(log_model_prior(ModelIndicator.from_indices(p, range(k)), params, True))
-            for k in sizes
-        ]
-    )
+    per_model = np.array([np.exp(params.size_logp[k]) for k in sizes])
     counts = np.array([len(list(itertools.combinations(range(p), k))) for k in sizes])
     return params, per_model, counts
 
@@ -52,15 +46,11 @@ def test_prior_expected_size_matches_m():
 
 
 def test_prior_exchangeable_within_size():
+    # the model prior is read by size, so two models of one size share it
     params = ModelPriorParams.from_expected_size(6, 2.0)
-    a = log_model_prior(ModelIndicator.from_indices(6, [0, 1]), params, True)
-    b = log_model_prior(ModelIndicator.from_indices(6, [2, 5]), params, True)
+    a = params.size_logp[ModelIndicator.from_indices(6, [0, 1]).p_k]
+    b = params.size_logp[ModelIndicator.from_indices(6, [2, 5]).p_k]
     np.testing.assert_allclose(a, b, rtol=1e-14)
-
-
-def test_rank_deficient_prior_is_minus_inf():
-    params = ModelPriorParams.from_expected_size(4, 2.0)
-    assert log_model_prior(ModelIndicator.null(4), params, False) == -np.inf
 
 
 def test_boundary_moves_are_forced():
@@ -169,9 +159,7 @@ def _enumerated_posterior(z, design, g, params, n):
         for idx in itertools.combinations(range(p), k):
             M = ModelIndicator.from_indices(p, idx)
             s = suff_stats(z, M, design)
-            logs[M.key] = log_marginal(s.r2, s.tss, k, n, g) + log_model_prior(
-                M, params, True
-            )
+            logs[M.key] = log_marginal(s.r2, s.tss, k, n, g) + params.size_logp[k]
     keys = list(logs)
     vals = np.array([logs[k] for k in keys])
     vals = np.exp(vals - vals.max())
