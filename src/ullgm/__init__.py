@@ -20,7 +20,6 @@ from .core import (
     PosteriorImproprietyRisk,
     PriorConfig,
     StructuralError,
-    ValidationReport,
     center_design,
     nbl,
     rank_ok,
@@ -50,7 +49,6 @@ __all__ = [
     "SimConfig",
     "SimTruth",
     "StructuralError",
-    "ValidationReport",
     "center_design",
     "gen_dataset",
     "lps",

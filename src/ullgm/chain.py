@@ -16,10 +16,8 @@ from .core import (
     DegenerateZ,
     HyperGOverN,
     ModelIndicator,
-    PosteriorImproprietyRisk,
     PriorConfig,
     ScaleAdapter,
-    StructuralError,
     center_design,
     inclusion_bits,
     validate_dataset,
@@ -231,7 +229,7 @@ def step(state: ChainState, data: Dataset, prior: PriorConfig, rng: np.random.Ge
             rng,
         )
         state.n_accept_g += g_accepted
-    sigma2 = sample_sigma2(s, M.p_k, n, g, rng) if fixed_sigma2 is None else fixed_sigma2
+    sigma2 = sample_sigma2(s, n, g, rng) if fixed_sigma2 is None else fixed_sigma2
     alpha = sample_alpha(s, n, sigma2, rng)
     beta_full = state.beta_full
     beta_full[:] = 0.0
@@ -286,10 +284,7 @@ def summarize(
 
 
 def run_chain(data: Dataset, prior: PriorConfig, config: ChainConfig) -> ChainOutput:
-    report = validate_dataset(data)
-    if not report.ok:
-        exc = StructuralError if report.code == "structural" else PosteriorImproprietyRisk
-        raise exc(report.message)
+    validate_dataset(data)
     rng = np.random.default_rng(config.seed)
     state = init_chain(data, prior, config)
 

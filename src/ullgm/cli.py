@@ -3,8 +3,8 @@
 All randomness flows from --seed, so identical invocations give
 byte-identical CSV outputs; the run manifest additionally records the
 wall-clock duration and a content hash of the data. Exit codes: 0 on
-success, 2 when the data or configuration fails validation, 3 on I/O or
-parse problems.
+success, 2 when the configuration fails validation or the data fail the
+outcome-count rule, 3 on I/O or parse problems and malformed data.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import time
+from contextlib import suppress
 from dataclasses import astuple
 
 import numpy as np
@@ -23,17 +24,20 @@ import numpy as np
 from . import __version__
 from .chain import ChainConfig, ChainOutput, DrawStore, run_chains
 from .core import (
+    FAMILY_NAMES,
     Dataset,
     FamilyTag,
     FixedG,
     HyperGOverN,
+    PosteriorImproprietyRisk,
     PriorConfig,
+    StructuralError,
     validate_dataset,
 )
 from .diagnostics import pooled_ess
 from .model_space import ModelPriorParams
 from .predictive import per_point_log_predictive
-from .simulation import SimConfig, gen_dataset, metrics
+from .simulation import DGP_NAMES, SimConfig, gen_dataset, metrics
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -191,17 +195,10 @@ def _load_table(args: argparse.Namespace, family: FamilyTag, names: list[str] | 
     return names, X, y, trials
 
 
-def _validated_dataset(y, X, family, trials) -> Dataset:
-    data = Dataset(y=y, X=X, family=family, trials=trials)
-    report = validate_dataset(data)
-    if not report.ok:
-        code = EXIT_IO if report.code == "structural" else EXIT_VALIDATION
-        raise CliError(code, f"dataset rejected: {report.message}")
-    return data
-
-
 def _run(args: argparse.Namespace, data: Dataset, seed: int) -> ChainOutput:
-    """Builds the prior and chain settings from the sampler flags and runs --chains chains."""
+    """Builds the prior and chain settings from the sampler flags and runs --chains chains.
+    The dataset rules are checked first, so their exit code wins over a bad flag's."""
+    validate_dataset(data)
     m = args.msize if args.msize is not None else data.p / 2.0
     try:
         ModelPriorParams.from_expected_size(data.p, m)
@@ -225,7 +222,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     family = _family(args.family, args.r)
     names, X_raw, y, trials = _load_table(args, family)
     X, shift, scale = _standardize(X_raw, names, args.standardize)
-    data = _validated_dataset(y, X, family, trials)
+    data = Dataset(y=y, X=X, family=family, trials=trials)
     out = _run(args, data, args.seed)
 
     os.makedirs(args.out_dir, exist_ok=True)
@@ -352,7 +349,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             if r == 0
             else gen_dataset(sim, np.random.default_rng((args.seed, r)))
         )
-        data = _validated_dataset(data.y, data.X, data.family, data.trials)
         rep = metrics(_run(args, data, args.seed + r), truth)
         rows.append([str(r), *astuple(rep), round(time.monotonic() - tr0, 3)])
 
@@ -424,9 +420,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
     _, X, y, trials = _load_table(args, family, names)
     X_std = (X - mean) / scale
     data = Dataset(y=y, X=X_std, family=family, trials=trials)
-    rep = validate_dataset(data)
-    if not rep.ok and rep.code == "structural":
-        raise CliError(EXIT_IO, f"holdout rejected: {rep.message}")
+    # The count rule guards a fit; a holdout may hold only zeros.
+    with suppress(PosteriorImproprietyRisk):
+        validate_dataset(data)
 
     logp, floored = per_point_log_predictive(data, store, np.zeros(data.p))
     lps_value = float(-logp.mean())
@@ -462,11 +458,11 @@ def cmd_cv(args: argparse.Namespace) -> int:
         perm = np.random.default_rng((args.seed, s)).permutation(n)
         test_idx, train_idx = perm[:n_test], perm[n_test:]
         X_tr, shift, scale = _standardize(X_raw[train_idx], names, args.standardize)
-        data_tr = _validated_dataset(
-            y[train_idx],
-            X_tr,
-            family,
-            None if trials is None else trials[train_idx],
+        data_tr = Dataset(
+            y=y[train_idx],
+            X=X_tr,
+            family=family,
+            trials=None if trials is None else trials[train_idx],
         )
         out = _run(args, data_tr, args.seed + s)
         eff_mean = shift + scale * out.col_means
@@ -506,11 +502,7 @@ def _add_sampler_flags(sp: argparse.ArgumentParser) -> None:
 
 
 def _add_family_flags(sp: argparse.ArgumentParser, default: str | None = "pln") -> None:
-    sp.add_argument(
-        "--family",
-        choices=["pln", "bil", "nbl"],
-        default=default,
-    )
+    sp.add_argument("--family", choices=FAMILY_NAMES, default=default)
     sp.add_argument("--r", type=int, default=None, help="negative-binomial size for nbl")
 
 
@@ -536,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--n", type=int, required=True)
     sim.add_argument("--p", type=int, required=True)
     sim.add_argument("--rho", type=float, default=0.6)
-    sim.add_argument("--dgp", choices=["ullgm", "glm", "loggamma"], default="ullgm")
+    sim.add_argument("--dgp", choices=DGP_NAMES, default="ullgm")
     sim.add_argument("--sigma2", type=float, default=0.2)
     sim.add_argument("--trials-count", type=int, default=30)
     sim.add_argument("--replicates", type=int, default=1)
@@ -581,6 +573,9 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code
+    except (StructuralError, PosteriorImproprietyRisk) as e:
+        print(f"error: dataset rejected: {e}", file=sys.stderr)
+        return EXIT_IO if isinstance(e, StructuralError) else EXIT_VALIDATION
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -106,15 +106,10 @@ class Dataset:
         return self.X.shape[1] if self.X.ndim == 2 else 0
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    code: str  # "ok" | "structural" | "impropriety"
-    message: str = ""
-
-
-def validate_dataset(d: Dataset) -> ValidationReport:
-    """Check shapes, finiteness and the outcome-count conditions.
+def validate_dataset(d: Dataset) -> None:
+    """Check shapes, finiteness and the outcome-count conditions; raise
+    StructuralError for malformed arrays and PosteriorImproprietyRisk when
+    the count conditions fail.
 
     The count conditions rule out data with fewer than two informative
     outcomes: PLN/NBL need two nonzero counts; bil needs two observations
@@ -126,51 +121,44 @@ def validate_dataset(d: Dataset) -> ValidationReport:
     counts. The tail's height is L relative to the fit, so it shows only on
     weak data.
     """
-
-    def bad(code: str, msg: str) -> ValidationReport:
-        return ValidationReport(False, code, msg)
-
     y, X = d.y, d.X
     if X.ndim != 2:
-        return bad("structural", "X must be a 2-d array")
+        raise StructuralError("X must be a 2-d array")
     n, p = X.shape
     if y.ndim != 1 or y.shape[0] != n:
-        return bad("structural", f"y has length {y.shape[0] if y.ndim == 1 else '?'}, X has {n} rows")
+        raise StructuralError(f"y has length {y.shape[0] if y.ndim == 1 else '?'}, X has {n} rows")
     if n < 2:
-        return bad("structural", "need at least 2 observations")
+        raise StructuralError("need at least 2 observations")
     if p < 1:
-        return bad("structural", "need at least 1 candidate covariate")
+        raise StructuralError("need at least 1 candidate covariate")
     if not np.all(np.isfinite(X)):
-        return bad("structural", "X contains non-finite entries")
+        raise StructuralError("X contains non-finite entries")
     if not np.all(np.isfinite(y)):
-        return bad("structural", "y contains non-finite entries")
+        raise StructuralError("y contains non-finite entries")
     if np.any(y < 0) or np.any(y != np.floor(y)):
-        return bad("structural", "y must hold non-negative integers")
+        raise StructuralError("y must hold non-negative integers")
 
     if d.family.name == "bil":
         if d.trials is None:
-            return bad("structural", "bil requires a trials vector")
+            raise StructuralError("bil requires a trials vector")
         N = d.trials
         if N.ndim != 1 or N.shape[0] != n:
-            return bad("structural", "trials must match y in length")
+            raise StructuralError("trials must match y in length")
         if not np.all(np.isfinite(N)) or np.any(N < 1) or np.any(N != np.floor(N)):
-            return bad("structural", "trials must hold positive integers")
+            raise StructuralError("trials must hold positive integers")
         if np.any(y > N):
-            return bad("structural", "y may not exceed trials")
+            raise StructuralError("y may not exceed trials")
         informative = int(np.sum((y > 0) & (y < N)))
         if informative < 2:
-            return bad(
-                "impropriety",
-                f"bil needs >= 2 observations with 0 < y_i < N_i, found {informative}",
+            raise PosteriorImproprietyRisk(
+                f"bil needs >= 2 observations with 0 < y_i < N_i, found {informative}"
             )
     else:
         nonzero = int(np.sum(y > 0))
         if nonzero < 2:
-            return bad(
-                "impropriety",
-                f"{d.family.name} needs >= 2 nonzero outcomes, found {nonzero}",
+            raise PosteriorImproprietyRisk(
+                f"{d.family.name} needs >= 2 nonzero outcomes, found {nonzero}"
             )
-    return ValidationReport(True, "ok")
 
 
 @dataclass(frozen=True)

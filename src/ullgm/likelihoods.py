@@ -17,7 +17,7 @@ families pay for one exponential per element.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit, gammaln
+from scipy.special import gammaln
 
 from .core import FamilyTag
 
@@ -119,15 +119,15 @@ def loglik_grad_curvature(family: FamilyTag, y, z, trials=None):
     families -N s(1 - s) with s = logistic(z). This serves the predictive
     quadrature's Newton steps, whose arrays are Newton blocks of (holdout
     points x draws) linear predictors, up to QUAD_ORDER * BUDGET = 16,384
-    elements, with y and trials as (rows, 1) columns. s comes from scipy's
-    expit, to which the predictive scores are pinned bit for bit. At that
-    size the exp(-|z|) form of softplus_expit is about twice as fast (52
-    against 98 us on a 2-vCPU Xeon), but it moves s by a few ulp.
+    elements, with y and trials as (rows, 1) columns. s comes from
+    softplus_expit, the same logistic function the latent sweep uses; at
+    that size it costs about what scipy's expit does (94-125 against
+    104-111 us on a 2-vCPU Xeon), and the two differ by a few ulp.
     """
     if family.name == "pln":
         ez = np.exp(z)
         return y - ez, -ez
     a, N = logit_counts(family, y, trials)
-    sig = expit(z)
+    _, sig = softplus_expit(z)
     return a - N * sig, -N * (sig * (1.0 - sig))
 

@@ -88,7 +88,7 @@ def log_marginal(
     )
 
 
-def sample_sigma2(s: ModelSuffStats, p_k: int, n: int, g: float, rng: np.random.Generator) -> float:
+def sample_sigma2(s: ModelSuffStats, n: int, g: float, rng: np.random.Generator) -> float:
     """sigma2 | z, M, g is inverse-gamma with shape (n-1)/2 and rate
     tss (1 - delta r2) / 2, delta = g/(1+g)."""
     delta = g / (1.0 + g)

@@ -125,7 +125,7 @@ def test_criterion_3_conjugate_conditional_moments():
     m_draws = 100_000
 
     # sigma2: precision is Gamma((n-1)/2, rate tss(1 - delta r2)/2)
-    draws = np.array([sample_sigma2(s, M.p_k, n, g, rng) for _ in range(m_draws)])
+    draws = np.array([sample_sigma2(s, n, g, rng) for _ in range(m_draws)])
     prec = 1.0 / draws
     c_n = (n - 1) / 2
     C_n = 0.5 * s.tss * (1 - delta * s.r2)

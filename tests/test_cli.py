@@ -438,6 +438,39 @@ def test_predict_missing_training_covariate(tmp_path):
     assert code == EXIT_VALIDATION
 
 
+def test_predict_holdout_rule(tmp_path, capsys):
+    inp = _write_counts_csv(tmp_path / "d.csv")
+    fit_out = tmp_path / "fit"
+    assert main(_fit_args(inp, fit_out, ("--save-draws",))) == EXIT_OK
+    rng = np.random.default_rng(2)
+
+    def holdout(name, y):
+        path = tmp_path / f"{name}.csv"
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["count", "x0", "x1", "x2", "x3"])
+            for yi in y:
+                w.writerow([yi, *rng.normal(size=4)])
+        return path
+
+    def predict(path, out):
+        argv = ["predict", "--input", str(path), "--outcome", "count"]
+        return main(argv + ["--draws", str(fit_out), "--out-dir", str(out)])
+
+    # the count rule refuses all-zero counts for a fit, but a holdout may hold them
+    zeros = holdout("zeros", [0] * 6)
+    assert main(_fit_args(zeros, tmp_path / "fit_zeros")) == EXIT_VALIDATION
+    assert predict(zeros, tmp_path / "pred_zeros") == EXIT_OK
+    _, rows = _read_csv(tmp_path / "pred_zeros" / "predictions.csv")
+    assert len(rows) == 6
+    # a malformed holdout is still refused, before anything is written
+    capsys.readouterr()
+    negative = holdout("negative", [1, 0, -2, 3])
+    assert predict(negative, tmp_path / "pred_negative") == EXIT_IO
+    assert capsys.readouterr().err.startswith("error: dataset rejected: ")
+    assert not (tmp_path / "pred_negative").exists()
+
+
 def test_covariate_subset_flag(tmp_path):
     inp = _write_counts_csv(tmp_path / "d.csv")
     out = tmp_path / "run"

@@ -11,7 +11,9 @@ from ullgm.core import (
     FamilyTag,
     ModelIndicator,
     PLN,
+    PosteriorImproprietyRisk,
     ScaleAdapter,
+    StructuralError,
     center_design,
     metropolis_accept,
     nbl,
@@ -28,50 +30,44 @@ def _pln_data(y, X=None):
 
 
 def test_validate_accepts_two_nonzero_counts():
-    rep = validate_dataset(_pln_data([1, 0, 2]))
-    assert rep.ok and rep.code == "ok"
+    assert validate_dataset(_pln_data([1, 0, 2])) is None
 
 
 def test_validate_flags_single_nonzero_count_as_impropriety():
-    rep = validate_dataset(_pln_data([0, 0, 0, 5]))
-    assert not rep.ok
-    assert rep.code == "impropriety"
+    with pytest.raises(PosteriorImproprietyRisk):
+        validate_dataset(_pln_data([0, 0, 0, 5]))
 
 
 def test_validate_bil_needs_interior_outcomes():
     X = np.arange(8.0).reshape(4, 2)
-    ok = Dataset(y=[1, 2, 0, 3], trials=[3, 3, 3, 3], X=X, family=BIL)
-    assert validate_dataset(ok).ok
+    validate_dataset(Dataset(y=[1, 2, 0, 3], trials=[3, 3, 3, 3], X=X, family=BIL))
     # all-or-nothing outcomes leave the logit scale unanchored
     bad = Dataset(y=[0, 3, 0, 3], trials=[3, 3, 3, 3], X=X, family=BIL)
-    rep = validate_dataset(bad)
-    assert not rep.ok and rep.code == "impropriety"
+    with pytest.raises(PosteriorImproprietyRisk):
+        validate_dataset(bad)
 
 
 def test_validate_nbl_counts_nonzero():
     X = np.arange(6.0).reshape(3, 2)
-    rep = validate_dataset(Dataset(y=[3, 1, 0], X=X, family=nbl(2)))
-    assert rep.ok
+    validate_dataset(Dataset(y=[3, 1, 0], X=X, family=nbl(2)))
 
 
 def test_validate_structural_failures():
     X = np.arange(6.0).reshape(3, 2)
-    assert validate_dataset(Dataset(y=[1, 2], X=X, family=PLN)).code == "structural"
-    assert validate_dataset(Dataset(y=[1, 2, np.nan], X=X, family=PLN)).code == "structural"
-    assert validate_dataset(Dataset(y=[1, 2, 0.5], X=X, family=PLN)).code == "structural"
     Xbad = X.copy()
     Xbad[0, 0] = np.inf
-    assert validate_dataset(Dataset(y=[1, 2, 3], X=Xbad, family=PLN)).code == "structural"
-    # bil-specific structure
-    assert (
-        validate_dataset(Dataset(y=[1, 2, 3], X=X, family=BIL)).code == "structural"
-    )
-    assert (
-        validate_dataset(
-            Dataset(y=[1, 5, 1], trials=[3, 3, 3], X=X, family=BIL)
-        ).code
-        == "structural"
-    )
+    cases = [
+        Dataset(y=[1, 2], X=X, family=PLN),
+        Dataset(y=[1, 2, np.nan], X=X, family=PLN),
+        Dataset(y=[1, 2, 0.5], X=X, family=PLN),
+        Dataset(y=[1, 2, 3], X=Xbad, family=PLN),
+        # bil-specific structure
+        Dataset(y=[1, 2, 3], X=X, family=BIL),
+        Dataset(y=[1, 5, 1], trials=[3, 3, 3], X=X, family=BIL),
+    ]
+    for d in cases:
+        with pytest.raises(StructuralError):
+            validate_dataset(d)
 
 
 def test_family_tag_rules():

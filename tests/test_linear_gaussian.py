@@ -237,7 +237,7 @@ def test_sigma2_conditional_moments():
     c_n = (n - 1) / 2
     C_n = 0.5 * s.tss * (1 - delta * s.r2)
     rng = np.random.default_rng(123)
-    draws = np.array([sample_sigma2(s, 2, n, g, rng) for _ in range(60_000)])
+    draws = np.array([sample_sigma2(s, n, g, rng) for _ in range(60_000)])
     prec = 1.0 / draws
     # 1/sigma2 is Gamma(c_n, rate C_n)
     se = np.sqrt(c_n / C_n**2 / len(draws))
