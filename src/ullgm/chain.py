@@ -26,7 +26,7 @@ from .g_sampler import G_TARGET_ACC, hyper_g_over_n_ppf, mh_update_g, step_sd
 from .latent import BARKER_TARGET_ACC, update_all_latents
 from .likelihoods import loglik_value_grad
 from .linear_gaussian import SuffStatsCache, sample_alpha, sample_sigma2
-from .model_space import ModelPriorParams, model_mh_step
+from .model_space import model_mh_step, size_log_prior
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,6 @@ class ChainConfig:
     burn_in: int | None = None  # defaults to n_iter // 2
     thin: int = 1
     seed: int = 0
-    store_beta: bool = True
     # Pin sigma2 (no draw). Beta's prior variance is g sigma2, so a tiny
     # value also pins beta near 0: at g = n, sigma2 = 1e-8 the chain is
     # close to intercept-only, not a GLM.
@@ -80,7 +79,7 @@ class DrawStore:
     sigma2: np.ndarray
     g: np.ndarray
     included: np.ndarray  # (S, p) bool
-    beta: np.ndarray | None  # (S, p), zeros outside the model
+    beta: np.ndarray  # (S, p), zeros outside the model
 
     @property
     def n_kept(self) -> int:
@@ -93,15 +92,15 @@ class DrawStore:
             sigma2=np.concatenate([s.sigma2 for s in stores]),
             g=np.concatenate([s.g for s in stores]),
             included=np.concatenate([s.included for s in stores], axis=0),
-            beta=None if stores[0].beta is None else np.concatenate([s.beta for s in stores]),
+            beta=np.concatenate([s.beta for s in stores]),
         )
 
 
 @dataclass(frozen=True)
 class ChainOutput:
     pip: np.ndarray
-    beta_mean: np.ndarray | None
-    beta_sd: np.ndarray | None
+    beta_mean: np.ndarray
+    beta_sd: np.ndarray
     alpha: ScalarSummary
     sigma2: ScalarSummary
     g: ScalarSummary
@@ -143,7 +142,7 @@ class ChainState:
     cache: SuffStatsCache
     adapt_z: ScaleAdapter  # log step sds of the latent sweep
     adapt_g: ScaleAdapter  # log proposal variance of the g walk
-    params: ModelPriorParams
+    size_logp: tuple[float, ...]  # log prior of one model, by size
     hyper: bool  # g carries the hyper-g/n prior
     fixed_sigma2: float | None  # pinned sigma2, or None when it is drawn
     t: int = 0  # iterations done
@@ -180,7 +179,7 @@ def init_chain(data: Dataset, prior: PriorConfig, config: ChainConfig) -> ChainS
         cache=cache,
         adapt_z=ScaleAdapter(np.zeros(data.n), BARKER_TARGET_ACC),
         adapt_g=ScaleAdapter(0.0, G_TARGET_ACC),
-        params=ModelPriorParams.from_expected_size(data.p, prior.model_size),
+        size_logp=size_log_prior(data.p, prior.model_size),
         hyper=hyper,
         fixed_sigma2=config.fixed_sigma2,
     )
@@ -212,7 +211,7 @@ def step(state: ChainState, data: Dataset, prior: PriorConfig, rng: np.random.Ge
     M, accepted = model_mh_step(
         state.M,
         lambda drop, add: cache.move_log_marginal(drop, add, g, fixed_sigma2),
-        state.params,
+        state.size_logp,
         rng,
     )
     if accepted:
@@ -255,10 +254,6 @@ def summarize(
 ) -> ChainOutput:
     S, p = draws.included.shape
     pip = draws.included.mean(axis=0)
-    beta_mean = beta_sd = None
-    if draws.beta is not None:
-        beta_mean = draws.beta.mean(axis=0)
-        beta_sd = draws.beta.std(axis=0)
     sizes = draws.included.sum(axis=1)
     size_counts = np.bincount(sizes, minlength=p + 1)
     patterns, counts = np.unique(draws.included, axis=0, return_counts=True)
@@ -266,8 +261,8 @@ def summarize(
     top = [(inclusion_bits(patterns[i]), float(counts[i]) / S) for i in order]
     return ChainOutput(
         pip=pip,
-        beta_mean=beta_mean,
-        beta_sd=beta_sd,
+        beta_mean=draws.beta.mean(axis=0),
+        beta_sd=draws.beta.std(axis=0),
         alpha=ScalarSummary.from_draws(draws.alpha),
         sigma2=ScalarSummary.from_draws(draws.sigma2),
         g=ScalarSummary.from_draws(draws.g),
@@ -295,7 +290,7 @@ def run_chain(data: Dataset, prior: PriorConfig, config: ChainConfig) -> ChainOu
         sigma2=np.empty(n_keep),
         g=np.empty(n_keep),
         included=np.empty((n_keep, data.p), dtype=bool),
-        beta=np.empty((n_keep, data.p)) if config.store_beta else None,
+        beta=np.empty((n_keep, data.p)),
     )
     kept = 0
     for t in range(config.n_iter):
@@ -314,8 +309,7 @@ def run_chain(data: Dataset, prior: PriorConfig, config: ChainConfig) -> ChainOu
             store.sigma2[kept] = sigma2
             store.g[kept] = g
             store.included[kept] = state.M.included
-            if store.beta is not None:
-                store.beta[kept] = state.beta_full
+            store.beta[kept] = state.beta_full
             kept += 1
 
     hyper = state.hyper

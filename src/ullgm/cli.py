@@ -35,13 +35,16 @@ from .core import (
     validate_dataset,
 )
 from .diagnostics import pooled_ess
-from .model_space import ModelPriorParams
+from .model_space import size_log_prior
 from .predictive import per_point_log_predictive
 from .simulation import DGP_NAMES, SimConfig, gen_dataset, metrics
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_IO = 3
+
+STANDARDIZE_MODES = ("center", "zscore")  # fit and cv; simulate's data are not transformed
+
 
 class CliError(Exception):
     def __init__(self, exit_code: int, message: str):
@@ -191,6 +194,10 @@ def _load_table(args: argparse.Namespace, family: FamilyTag, names: list[str] | 
         names = [c for c in header if c not in reserved]
     if not names:
         raise CliError(EXIT_IO, f"{args.input}: no covariate columns left")
+    for c in names:
+        if c == args.outcome or names.count(c) > 1:
+            why = "is the outcome" if c == args.outcome else "is named twice"
+            raise CliError(EXIT_VALIDATION, f"covariate {c!r} {why}")
     X = np.column_stack([_numeric_column(args.input, header, body, c) for c in names])
     return names, X, y, trials
 
@@ -201,7 +208,7 @@ def _run(args: argparse.Namespace, data: Dataset, seed: int) -> ChainOutput:
     validate_dataset(data)
     m = args.msize if args.msize is not None else data.p / 2.0
     try:
-        ModelPriorParams.from_expected_size(data.p, m)
+        size_log_prior(data.p, m)
     except ValueError as e:
         raise CliError(EXIT_VALIDATION, f"--msize: {e}") from None
     prior = PriorConfig(gprior=_parse_gprior(args.gprior, data.n), model_size=m)
@@ -496,9 +503,6 @@ def _add_sampler_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--thin", type=int, default=1)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--chains", type=int, default=1)
-    sp.add_argument(
-        "--standardize", choices=["center", "zscore"], default="center"
-    )
 
 
 def _add_family_flags(sp: argparse.ArgumentParser, default: str | None = "pln") -> None:
@@ -520,6 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--covariates", default=None, help="comma-separated columns (default: all)")
     _add_family_flags(fit)
     _add_sampler_flags(fit)
+    fit.add_argument("--standardize", choices=STANDARDIZE_MODES, default="center")
     fit.add_argument("--save-draws", action="store_true")
     fit.add_argument("--out-dir", required=True)
     fit.set_defaults(func=cmd_fit)
@@ -554,6 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     cv.add_argument("--covariates", default=None)
     _add_family_flags(cv)
     _add_sampler_flags(cv)
+    cv.add_argument("--standardize", choices=STANDARDIZE_MODES, default="center")
     cv.add_argument("--splits", type=int, required=True)
     cv.add_argument("--test-share", type=float, default=0.15)
     cv.add_argument("--out-dir", required=True)

@@ -273,7 +273,7 @@ class PriorConfig:
     """g-prior choice plus the prior expected number of included covariates.
 
     run_chain checks model_size < p against the data, through
-    ModelPriorParams.from_expected_size."""
+    model_space.size_log_prior."""
 
     gprior: FixedG | HyperGOverN
     model_size: float

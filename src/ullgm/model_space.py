@@ -9,7 +9,6 @@ enumeration, which keeps the move kernel simple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -20,34 +19,14 @@ from .core import ModelIndicator, metropolis_accept
 ONE_THIRD_LOG = np.log(1.0 / 3.0)
 
 
-@dataclass(frozen=True)
-class ModelPriorParams:
-    p: int
-    a: float
-    b: float
-    # log prior per model, indexed by model size; derived from (p, a, b)
-    size_logp: tuple = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if not (self.p >= 1 and self.a > 0 and self.b > 0):
-            raise ValueError("need p >= 1, a > 0, b > 0")
-        const = (
-            gammaln(self.a + self.b)
-            - gammaln(self.a)
-            - gammaln(self.b)
-            - gammaln(self.a + self.b + self.p)
-        )
-        table = tuple(
-            float(const + gammaln(self.a + k) + gammaln(self.b + self.p - k))
-            for k in range(self.p + 1)
-        )
-        object.__setattr__(self, "size_logp", table)
-
-    @staticmethod
-    def from_expected_size(p: int, m: float) -> "ModelPriorParams":
-        if not (0 < m < p):
-            raise ValueError(f"expected model size must lie in (0, {p}), got {m}")
-        return ModelPriorParams(p=p, a=1.0, b=(p - m) / m)
+def size_log_prior(p: int, m: float) -> tuple[float, ...]:
+    """Log prior mass of one model of each size 0..p, indexed by size, under
+    the beta-binomial(1, (p - m)/m) prior on the size."""
+    if not (0 < m < p):
+        raise ValueError(f"expected model size must lie in (0, {p}), got {m}")
+    b = (p - m) / m
+    const = gammaln(1.0 + b) - gammaln(1.0) - gammaln(b) - gammaln(1.0 + b + p)
+    return tuple(float(const + gammaln(1.0 + k) + gammaln(b + p - k)) for k in range(p + 1))
 
 
 class AdsProposal(NamedTuple):
@@ -100,7 +79,7 @@ def propose_ads(M: ModelIndicator, rng: np.random.Generator) -> AdsProposal:
 def model_mh_step(
     M: ModelIndicator,
     log_marginal: Callable[[int | None, int | None], float],
-    params: ModelPriorParams,
+    size_logp: tuple[float, ...],
     rng: np.random.Generator,
 ) -> tuple[ModelIndicator, bool]:
     """One Metropolis step over models.
@@ -110,14 +89,14 @@ def model_mh_step(
     (None for neither, so log_marginal(None, None) is M's own), and -inf
     where that model is rank-deficient, whose prior mass is zero. A flat
     one turns the kernel into a prior sampler. The acceptance ratio adds
-    the model prior and the add/delete Hastings correction. The proposed
-    model is built only when it is accepted.
+    the model prior, read by size from size_logp (size_log_prior's table),
+    and the add/delete Hastings correction. The proposed model is built
+    only when it is accepted.
     """
     drop, add, log_correction = propose_ads(M, rng)
     lm_new = log_marginal(drop, add)
     if lm_new == -np.inf:
         return M, False
-    size_logp = params.size_logp
     p_new = M.p_k + (add is not None) - (drop is not None)
     log_ratio = (
         size_logp[p_new]

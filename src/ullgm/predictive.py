@@ -192,8 +192,6 @@ def per_point_log_predictive(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rao-Blackwellized log predictive probability of each holdout point:
     log of the draw-averaged pmf. Returns (log probs, floor flags)."""
-    if draws.beta is None:
-        raise ValueError("prediction needs stored beta draws")
     Xc_new = holdout.X - col_means[None, :]
     y = holdout.y[:, None]
     trials = None if holdout.trials is None else holdout.trials[:, None]

@@ -19,6 +19,8 @@ from .core import BIL, Dataset, FamilyTag, ModelIndicator, PLN
 BETA_PATTERN = np.array([2.0, -3.0, 2.0, 2.0, -3.0, 3.0, -2.0, 3.0, -2.0, 3.0])
 
 DGP_NAMES = ("ullgm", "glm", "loggamma")
+INTERCEPT = 1.5  # alpha of every generated data set
+LOGGAMMA_SHAPE = 5.5  # k of the loggamma dgp's noise, log of a Gamma(k, 1/k) draw
 
 
 @dataclass(frozen=True)
@@ -29,9 +31,7 @@ class SimConfig:
     family: FamilyTag = PLN
     dgp: str = "ullgm"  # "ullgm" | "glm" | "loggamma"
     sigma2: float = 0.2
-    intercept: float = 1.5
     trials_count: int = 30
-    loggamma_shape: float = 5.5
 
     def __post_init__(self) -> None:
         if self.dgp not in DGP_NAMES:
@@ -95,7 +95,7 @@ def gen_outcomes(
     elif config.dgp == "glm":
         eps = np.zeros(n)
     else:  # loggamma
-        k = config.loggamma_shape
+        k = LOGGAMMA_SHAPE
         eps = np.log(rng.gamma(k, 1.0 / k, size=n))
     z = linpred + eps
     fam = config.family
@@ -118,7 +118,7 @@ def gen_dataset(
     truth = SimTruth(
         beta_star=beta_star,
         model=ModelIndicator(beta_star != 0),
-        intercept=config.intercept,
+        intercept=INTERCEPT,
         sigma2=config.sigma2 if config.dgp == "ullgm" else 0.0,
     )
     data, z = gen_outcomes(X, truth, config, rng)

@@ -37,7 +37,7 @@ from ullgm.linear_gaussian import (
     sample_sigma2,
     suff_stats,
 )
-from ullgm.model_space import ModelPriorParams, model_mh_step
+from ullgm.model_space import model_mh_step, size_log_prior
 from ullgm.predictive import log_predictive_draws, lps
 from ullgm.simulation import SimConfig, gen_dataset, metrics
 
@@ -50,14 +50,14 @@ def test_criterion_1_model_step_matches_exact_enumeration():
     design = center_design(X)
     z = 0.8 + 0.9 * X[:, 0] - 0.6 * X[:, 3] + rng.normal(scale=0.5, size=n)
     g = float(n)
-    params = ModelPriorParams.from_expected_size(p, 3.0)
+    size_logp = size_log_prior(p, 3.0)
 
     logs = {}
     for k in range(p + 1):
         for idx in itertools.combinations(range(p), k):
             M = ModelIndicator.from_indices(p, idx)
             s = suff_stats(z, M, design)
-            logs[M.key] = log_marginal(s.r2, s.tss, k, n, g) + params.size_logp[k]
+            logs[M.key] = log_marginal(s.r2, s.tss, k, n, g) + size_logp[k]
     keys = list(logs)
     vals = np.array([logs[k] for k in keys])
     w = np.exp(vals - vals.max())
@@ -71,7 +71,7 @@ def test_criterion_1_model_step_matches_exact_enumeration():
     freq = dict.fromkeys(keys, 0)
     steps = 500_000
     for _ in range(steps):
-        M, accepted = model_mh_step(M, log_marg, params, rng)
+        M, accepted = model_mh_step(M, log_marg, size_logp, rng)
         if accepted:
             cache.chol(M)
         freq[M.key] += 1
@@ -172,9 +172,9 @@ def test_criterion_3_conjugate_conditional_moments():
 
 def test_criterion_4a_ads_prior_stationarity():
     p, m = 8, 4.0
-    params = ModelPriorParams.from_expected_size(p, m)
+    size_logp = size_log_prior(p, m)
     sizes = np.arange(p + 1)
-    per_model = np.array([np.exp(params.size_logp[k]) for k in sizes])
+    per_model = np.array([np.exp(size_logp[k]) for k in sizes])
     target = per_model * np.array([comb(p, k) for k in sizes])
 
     rng = np.random.default_rng(77)
@@ -182,7 +182,7 @@ def test_criterion_4a_ads_prior_stationarity():
     hist = np.zeros(p + 1)
     steps = 1_200_000
     for _ in range(steps):
-        M, _ = model_mh_step(M, lambda drop, add: 0.0, params, rng)
+        M, _ = model_mh_step(M, lambda drop, add: 0.0, size_logp, rng)
         hist[M.p_k] += 1
     tv = 0.5 * np.abs(hist / steps - target).sum()
     assert tv < 0.02, tv
@@ -431,6 +431,9 @@ def test_criterion_9_cli_determinism(tmp_path):
             a = [",".join(r.split(",")[:-1]) for r in a]
             b = [",".join(r.split(",")[:-1]) for r in b]
         assert a == b, name
+    assert _normalized_manifest(tmp_path / "s1" / "manifest.json") == _normalized_manifest(
+        tmp_path / "s2" / "manifest.json"
+    )
 
     def run_pred(out):
         code = cli_main(
@@ -447,4 +450,7 @@ def test_criterion_9_cli_determinism(tmp_path):
         assert (tmp_path / "p1" / name).read_bytes() == (
             tmp_path / "p2" / name
         ).read_bytes()
+    assert _normalized_manifest(tmp_path / "p1" / "manifest.json") == _normalized_manifest(
+        tmp_path / "p2" / "manifest.json"
+    )
     print("criterion 9 PASS: identical seeds give byte-identical fit/simulate/predict outputs")

@@ -25,7 +25,7 @@ from ullgm.core import (
 from ullgm.latent import BARKER_TARGET_ACC, update_all_latents
 from ullgm.likelihoods import loglik_value_grad
 from ullgm.linear_gaussian import SuffStatsCache
-from ullgm.model_space import ModelPriorParams, model_mh_step
+from ullgm.model_space import model_mh_step, size_log_prior
 
 
 def _dataset(n=60, p=5, seed=0, family=PLN, trials=None):
@@ -233,7 +233,7 @@ def test_joint_distribution_forward_vs_gibbs():
     X = rng.normal(size=(n, p))
     design = center_design(X)
     Xc = design.Xc
-    params = ModelPriorParams.from_expected_size(p, 2.0)
+    size_logp = size_log_prior(p, 2.0)
 
     models = []
     projs = {}
@@ -245,10 +245,10 @@ def test_joint_distribution_forward_vs_gibbs():
 
     size_prior = np.zeros(p + 1)
     for M in models:
-        size_prior[M.p_k] += np.exp(params.size_logp[M.p_k])
+        size_prior[M.p_k] += np.exp(size_logp[M.p_k])
 
     def draw_model_from_prior(r):
-        logw = np.array([params.size_logp[M.p_k] for M in models])
+        logw = np.array([size_logp[M.p_k] for M in models])
         w = np.exp(logw - logw.max())
         w /= w.sum()
         return models[r.choice(len(models), p=w)]
@@ -304,7 +304,7 @@ def test_joint_distribution_forward_vs_gibbs():
         y = rng.poisson(np.exp(np.clip(z, None, 30.0))).astype(float)
         for _ in range(3):
             M, _ = model_mh_step(
-                M, lambda drop, add: cond_log_marginal(M.with_move(drop, add), z), params, rng
+                M, lambda drop, add: cond_log_marginal(M.with_move(drop, add), z), size_logp, rng
             )
         cache.set_z(z)
         beta = cache.sample_beta(M, sigma2_0, g0, rng)
@@ -369,15 +369,15 @@ def test_chain_never_keeps_both_copies_of_a_duplicated_column():
 
 
 def test_memory_stays_flat_over_iterations():
-    # no state accumulates per visited model: the traced peak of a chain
-    # four times longer grows only by its larger draw store
+    # no state accumulates per visited model: with the kept count held at
+    # 500, the traced peak of a chain four times longer does not grow
     data = _dataset(n=150, p=40, seed=11, family=nbl(2))
     prior = _prior(data)
 
     def peak(n_iter):
         tracemalloc.start()
         try:
-            run_chain(data, prior, ChainConfig(n_iter=n_iter, seed=3, store_beta=False))
+            run_chain(data, prior, ChainConfig(n_iter=n_iter, burn_in=n_iter - 500, seed=3))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,5 +1,6 @@
 """Command-line workflows: fit, simulate, predict, cv, and failure modes."""
 
+import argparse
 import csv
 import json
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ullgm.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
+from ullgm.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, build_parser, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -478,6 +479,89 @@ def test_covariate_subset_flag(tmp_path):
     assert code == EXIT_OK
     _, rows = _read_csv(out / "summary.csv")
     assert [r[0] for r in rows] == ["x0", "x2"]
+
+
+def test_covariates_refuse_a_repeated_name_and_the_outcome(tmp_path, capsys):
+    inp = _write_counts_csv(tmp_path / "d.csv")
+    out = tmp_path / "run"
+    for covariates, want in (
+        ("x0,x0,x1", "error: covariate 'x0' is named twice"),
+        ("count,x0", "error: covariate 'count' is the outcome"),
+    ):
+        capsys.readouterr()
+        assert main(_fit_args(inp, out, ("--covariates", covariates))) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(want), covariates
+        assert not out.exists()
+        argv = ["cv", "--input", str(inp), "--outcome", "count", "--covariates", covariates]
+        argv += ["--splits", "1", "--iters", "40", "--burnin", "20", "--out-dir", str(out)]
+        assert main(argv) == EXIT_VALIDATION, covariates
+    # a header that repeats a column name is refused the same way
+    twice = tmp_path / "twice.csv"
+    twice.write_text("count,x0,x0\n1,0.5,0.5\n3,0.1,0.1\n")
+    capsys.readouterr()
+    assert main(_fit_args(twice, out)) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: covariate 'x0' is named twice")
+
+
+def test_standardize_is_a_fit_and_cv_flag(tmp_path, capsys):
+    for sub in ("fit", "cv", "simulate"):
+        with pytest.raises(SystemExit) as e:
+            main([sub, "--help"])
+        assert e.value.code == EXIT_OK
+        assert ("--standardize" in capsys.readouterr().out) == (sub != "simulate"), sub
+    # simulate's data are never transformed, so the flag is refused, not ignored
+    with pytest.raises(SystemExit) as e:
+        main(["simulate", "--n", "40", "--p", "10", "--standardize", "zscore",
+              "--out-dir", str(tmp_path / "sim")])
+    assert e.value.code == EXIT_VALIDATION
+    assert not (tmp_path / "sim").exists()
+
+
+def _unread_flags(argv):
+    """The flags argv parses that its subcommand never reads."""
+    reads = set()
+
+    class ReadRecorder(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    args = build_parser().parse_args(argv, namespace=ReadRecorder())
+    reads.clear()  # parsing looks up every flag
+    assert args.func(args) == EXIT_OK, argv
+    return sorted(set(vars(args)) - reads)
+
+
+def test_every_parsed_flag_is_read(tmp_path):
+    # bil data, so that --trials has a reader; on pln it is unread by design
+    rng = np.random.default_rng(4)
+    n, p = 40, 3
+    X = rng.normal(size=(n, p))
+    trials = rng.integers(5, 15, size=n)
+    y = rng.binomial(trials, 1.0 / (1.0 + np.exp(-0.3 - 0.8 * X[:, 0])))
+    inp = tmp_path / "d.csv"
+    with open(inp, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["y", "n"] + [f"x{j}" for j in range(p)])
+        for i in range(n):
+            w.writerow([y[i], trials[i], *X[i]])
+    table = ["--input", str(inp), "--outcome", "y", "--trials", "n"]
+    data = [*table, "--covariates", "x0,x1,x2"]
+    sampler = ["--family", "bil", "--iters", "60", "--burnin", "30"]
+    fit = tmp_path / "fit"
+    runs = {
+        "fit": ["fit", *data, *sampler, "--save-draws", "--out-dir", str(fit)],
+        "cv": ["cv", *data, *sampler, "--splits", "1", "--out-dir", str(tmp_path / "cv")],
+        "predict": [
+            "predict", *table, "--draws", str(fit), "--out-dir", str(tmp_path / "pred"),
+        ],
+        "simulate": [
+            "simulate", "--n", "40", "--p", "10", "--run", *sampler,
+            "--out-dir", str(tmp_path / "sim"),
+        ],
+    }
+    unread = {sub: _unread_flags(argv) for sub, argv in runs.items()}
+    assert unread == {sub: [] for sub in runs}
 
 
 def test_unknown_column_is_io_error(tmp_path):

@@ -11,22 +11,22 @@ from ullgm.core import ModelIndicator, center_design
 from ullgm.linear_gaussian import SuffStatsCache, log_marginal, suff_stats
 from ullgm.model_space import (
     AdsProposal,
-    ModelPriorParams,
     model_mh_step,
     propose_ads,
+    size_log_prior,
 )
 
 
 def _prior_pmf_by_size(p, m):
-    params = ModelPriorParams.from_expected_size(p, m)
+    size_logp = size_log_prior(p, m)
     sizes = np.arange(p + 1)
-    per_model = np.array([np.exp(params.size_logp[k]) for k in sizes])
+    per_model = np.array([np.exp(size_logp[k]) for k in sizes])
     counts = np.array([len(list(itertools.combinations(range(p), k))) for k in sizes])
-    return params, per_model, counts
+    return size_logp, per_model, counts
 
 
 def test_prior_pmf_two_covariates_expected_one():
-    params, per_model, counts = _prior_pmf_by_size(2, 1.0)
+    _, per_model, counts = _prior_pmf_by_size(2, 1.0)
     # beta-binomial(1, 1): uniform on sizes, split evenly within a size
     np.testing.assert_allclose(per_model * counts, [1 / 3, 1 / 3, 1 / 3], rtol=1e-12)
     np.testing.assert_allclose(per_model, [1 / 3, 1 / 6, 1 / 3], rtol=1e-12)
@@ -47,9 +47,9 @@ def test_prior_expected_size_matches_m():
 
 def test_prior_exchangeable_within_size():
     # the model prior is read by size, so two models of one size share it
-    params = ModelPriorParams.from_expected_size(6, 2.0)
-    a = params.size_logp[ModelIndicator.from_indices(6, [0, 1]).p_k]
-    b = params.size_logp[ModelIndicator.from_indices(6, [2, 5]).p_k]
+    size_logp = size_log_prior(6, 2.0)
+    a = size_logp[ModelIndicator.from_indices(6, [0, 1]).p_k]
+    b = size_logp[ModelIndicator.from_indices(6, [2, 5]).p_k]
     np.testing.assert_allclose(a, b, rtol=1e-14)
 
 
@@ -138,13 +138,13 @@ def test_ads_correction_antisymmetry(p, data):
 def test_chain_on_prior_reaches_beta_binomial_sizes():
     # with a constant marginal the MH chain should sample the model prior
     p, m = 4, 2.0
-    params = ModelPriorParams.from_expected_size(p, m)
+    size_logp = size_log_prior(p, m)
     rng = np.random.default_rng(10)
     M = ModelIndicator.null(p)
     counts = np.zeros(p + 1)
     steps = 200_000
     for _ in range(steps):
-        M, _ = model_mh_step(M, lambda drop, add: 0.0, params, rng)
+        M, _ = model_mh_step(M, lambda drop, add: 0.0, size_logp, rng)
         counts[M.p_k] += 1
     _, per_model, ncomb = _prior_pmf_by_size(p, m)
     target = per_model * ncomb
@@ -152,14 +152,14 @@ def test_chain_on_prior_reaches_beta_binomial_sizes():
     assert tv < 0.03, tv
 
 
-def _enumerated_posterior(z, design, g, params, n):
+def _enumerated_posterior(z, design, g, size_logp, n):
     p = design.Xc.shape[1]
     logs = {}
     for k in range(p + 1):
         for idx in itertools.combinations(range(p), k):
             M = ModelIndicator.from_indices(p, idx)
             s = suff_stats(z, M, design)
-            logs[M.key] = log_marginal(s.r2, s.tss, k, n, g) + params.size_logp[k]
+            logs[M.key] = log_marginal(s.r2, s.tss, k, n, g) + size_logp[k]
     keys = list(logs)
     vals = np.array([logs[k] for k in keys])
     vals = np.exp(vals - vals.max())
@@ -174,8 +174,8 @@ def test_model_step_targets_enumerated_posterior():
     design = center_design(X)
     z = 1.0 + 0.8 * X[:, 0] + rng.normal(scale=0.6, size=n)
     g = float(n)
-    params = ModelPriorParams.from_expected_size(p, 1.5)
-    target = _enumerated_posterior(z, design, g, params, n)
+    size_logp = size_log_prior(p, 1.5)
+    target = _enumerated_posterior(z, design, g, size_logp, n)
 
     cache = SuffStatsCache(design)
     cache.set_z(z)
@@ -184,7 +184,7 @@ def test_model_step_targets_enumerated_posterior():
     freq = {k: 0 for k in target}
     steps = 100_000
     for _ in range(steps):
-        M, accepted = model_mh_step(M, log_marg, params, rng)
+        M, accepted = model_mh_step(M, log_marg, size_logp, rng)
         if accepted:
             cache.chol(M)
         freq[M.key] += 1

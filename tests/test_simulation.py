@@ -8,6 +8,8 @@ from ullgm.chain import DrawStore, summarize
 from ullgm.core import BIL, ModelIndicator, PLN, nbl
 from ullgm.simulation import (
     BETA_PATTERN,
+    INTERCEPT,
+    LOGGAMMA_SHAPE,
     MetricsReport,
     SimConfig,
     gen_beta_star,
@@ -55,11 +57,11 @@ def test_glm_dgp_has_no_latent_noise():
     truth = SimTruth(
         beta_star=gen_beta_star(cfg.n, cfg.p),
         model=ModelIndicator.from_indices(cfg.p, range(10)),
-        intercept=cfg.intercept,
+        intercept=INTERCEPT,
         sigma2=0.0,
     )
     data, z = gen_outcomes(X, truth, cfg, rng)
-    np.testing.assert_allclose(z, cfg.intercept + X @ truth.beta_star, rtol=1e-12)
+    np.testing.assert_allclose(z, INTERCEPT + X @ truth.beta_star, rtol=1e-12)
 
 
 def test_ullgm_dgp_noise_variance():
@@ -71,18 +73,18 @@ def test_ullgm_dgp_noise_variance():
     truth = SimTruth(
         beta_star=gen_beta_star(cfg.n, cfg.p),
         model=ModelIndicator.from_indices(cfg.p, range(cfg.p)),
-        intercept=cfg.intercept,
+        intercept=INTERCEPT,
         sigma2=cfg.sigma2,
     )
     data, z = gen_outcomes(X, truth, cfg, rng)
-    eps = z - cfg.intercept - X @ truth.beta_star
+    eps = z - INTERCEPT - X @ truth.beta_star
     np.testing.assert_allclose(eps.var(), 0.3, rtol=0.03)
     np.testing.assert_allclose(eps.mean(), 0.0, atol=0.02)
 
 
 def test_loggamma_dgp_moments():
-    k = 5.5
-    cfg = SimConfig(n=200_000, p=10, dgp="loggamma", loggamma_shape=k)
+    k = LOGGAMMA_SHAPE
+    cfg = SimConfig(n=200_000, p=10, dgp="loggamma")
     rng = np.random.default_rng(3)
     X = gen_design(cfg.n, cfg.p, cfg.rho, rng)
     from ullgm.simulation import SimTruth
@@ -90,11 +92,11 @@ def test_loggamma_dgp_moments():
     truth = SimTruth(
         beta_star=gen_beta_star(cfg.n, cfg.p),
         model=ModelIndicator.from_indices(cfg.p, range(cfg.p)),
-        intercept=cfg.intercept,
+        intercept=INTERCEPT,
         sigma2=0.0,
     )
     data, z = gen_outcomes(X, truth, cfg, rng)
-    eps = z - cfg.intercept - X @ truth.beta_star
+    eps = z - INTERCEPT - X @ truth.beta_star
     # log of a mean-one gamma: mean digamma(k) - log k, variance psi'(k)
     np.testing.assert_allclose(eps.mean(), digamma(k) - np.log(k), atol=5e-3)
     from scipy.special import polygamma
