@@ -25,7 +25,7 @@ from .core import (
     rank_ok,
     validate_dataset,
 )
-from .predictive import lps, per_point_log_predictive, predictive_pmf
+from .predictive import lps, per_point_log_predictive
 from .simulation import MetricsReport, SimConfig, SimTruth, gen_dataset, metrics
 
 __version__ = "0.1.0"
@@ -55,7 +55,6 @@ __all__ = [
     "metrics",
     "nbl",
     "per_point_log_predictive",
-    "predictive_pmf",
     "rank_ok",
     "run_chain",
     "run_chains",

@@ -74,8 +74,8 @@ def _read_csv(path: str) -> tuple[list[str], list[list[str]]]:
             rows = list(csv.reader(fh))
     except OSError as e:
         raise CliError(EXIT_IO, f"cannot read {path}: {e}") from e
-    if not rows:
-        raise CliError(EXIT_IO, f"{path} is empty")
+    if len(rows) < 2:
+        raise CliError(EXIT_IO, f"{path} holds no rows")
     header, body = rows[0], rows[1:]
     width = len(header)
     for i, row in enumerate(body):
@@ -84,11 +84,15 @@ def _read_csv(path: str) -> tuple[list[str], list[list[str]]]:
     return header, body
 
 
-def _numeric_column(path: str, header: list[str], body: list[list[str]], name: str) -> np.ndarray:
+def _column(path: str, header: list[str], name: str) -> int:
     try:
-        j = header.index(name)
+        return header.index(name)
     except ValueError:
         raise CliError(EXIT_IO, f"{path}: no column named {name!r}") from None
+
+
+def _numeric_column(path: str, header: list[str], body: list[list[str]], name: str) -> np.ndarray:
+    j = _column(path, header, name)
     out = np.empty(len(body))
     for i, row in enumerate(body):
         try:
@@ -114,7 +118,6 @@ def _write_manifest(
     rows: int,
     cols: int,
     data_path: str,
-    standardize: str,
     outputs: list[str],
 ) -> None:
     """Writes out_dir/manifest.json: the command, its flags, the data's shape and hash."""
@@ -123,7 +126,6 @@ def _write_manifest(
         "config": {k: v for k, v in vars(args).items() if k != "func"},
         "version": __version__,
         "dataset": {"rows": rows, "cols": cols, "sha256": _sha256(data_path)},
-        "standardize": standardize,
         "seconds": round(time.monotonic() - t0, 3),
         "outputs": outputs,
     }
@@ -133,11 +135,11 @@ def _write_manifest(
 
 
 def _family(name: str, r: int | None) -> FamilyTag:
-    """The family named by the flags, or by a fit's manifest; r counts only for nbl."""
+    """The family named by the flags, or by a fit's manifest; an r off nbl is refused."""
     if name == "nbl" and r is None:
         raise CliError(EXIT_VALIDATION, "--family nbl requires --r")
     try:
-        return FamilyTag(name, r if name == "nbl" else None)
+        return FamilyTag(name, r)
     except ValueError as e:
         raise CliError(EXIT_VALIDATION, str(e)) from None
 
@@ -188,6 +190,8 @@ def _load_table(args: argparse.Namespace, family: FamilyTag, names: list[str] | 
             raise CliError(EXIT_IO, "--family bil requires --trials naming a column")
         trials = _numeric_column(args.input, header, body, args.trials)
         reserved.add(args.trials)
+    elif args.trials is not None:
+        raise CliError(EXIT_VALIDATION, f"--trials applies to --family bil only, not {family.name}")
     if names is None and args.covariates:
         names = [c.strip() for c in args.covariates.split(",") if c.strip()]
     elif names is None:
@@ -224,19 +228,36 @@ def _run(args: argparse.Namespace, data: Dataset, seed: int) -> ChainOutput:
     return run_chains(data, prior, config, args.chains)
 
 
+def _fit(
+    args: argparse.Namespace, family: FamilyTag, names: list[str], X, y, trials, seed: int
+) -> tuple[ChainOutput, np.ndarray, np.ndarray]:
+    """Standardizes X and runs the chains. Returns (output, mean, scale), where
+    x -> (x - mean) / scale is the fitted transform of raw covariates that the
+    coefficients apply to: the in-library centering is folded into the shift."""
+    X_std, shift, scale = _standardize(X, names, args.standardize)
+    out = _run(args, Dataset(y=y, X=X_std, family=family, trials=trials), seed)
+    return out, shift + scale * out.col_means, scale
+
+
+def _score(family: FamilyTag, X, y, trials, mean, scale, draws: DrawStore):
+    """Scores raw rows under draws fitted through x -> (x - mean) / scale.
+    Returns per_point_log_predictive's (log probs, floor flags). The rows
+    must pass the structural rule; the count rule guards a fit, and a
+    holdout may hold only zeros."""
+    data = Dataset(y=y, X=(X - mean) / scale, family=family, trials=trials)
+    with suppress(PosteriorImproprietyRisk):
+        validate_dataset(data)
+    return per_point_log_predictive(data, draws, np.zeros(data.p))
+
+
 def cmd_fit(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
     family = _family(args.family, args.r)
-    names, X_raw, y, trials = _load_table(args, family)
-    X, shift, scale = _standardize(X_raw, names, args.standardize)
-    data = Dataset(y=y, X=X, family=family, trials=trials)
-    out = _run(args, data, args.seed)
+    names, X, y, trials = _load_table(args, family)
+    out, mean, scale = _fit(args, family, names, X, y, trials, args.seed)
 
     os.makedirs(args.out_dir, exist_ok=True)
     d = out.draws
-    # Effective transform applied to raw covariates before the coefficients:
-    # x -> (x - mean) / scale; folds the in-library centering into the shift.
-    eff_mean = shift + scale * out.col_means
     # Acceptance rates averaged over all iterations and chains (accept_g is
     # nan when g is fixed), the number of distinct inclusion patterns among
     # the kept draws, effective sample sizes summed over chains (ess_log_g
@@ -276,7 +297,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
             args.out_dir,
             "centering.csv",
             ["covariate", "mean", "scale"],
-            [(names[j], eff_mean[j], scale[j]) for j in range(len(names))],
+            [(names[j], mean[j], scale[j]) for j in range(len(names))],
         ),
         _write_csv(
             args.out_dir,
@@ -304,7 +325,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         header = ["alpha", "sigma2", "g"] + [f"beta_{c}" for c in names]
         body = np.column_stack([d.alpha, d.sigma2, d.g, d.beta])
         files.append(_write_csv(args.out_dir, "draws.csv", header, body))
-    _write_manifest(args, t0, data.n, data.p, args.input, args.standardize, files)
+    _write_manifest(args, t0, len(y), len(names), args.input, files)
     return EXIT_OK
 
 
@@ -370,68 +391,57 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
 
     data_path = os.path.join(args.out_dir, "data.csv")
-    _write_manifest(args, t0, data0.n, data0.p, data_path, "center", files)
+    _write_manifest(args, t0, data0.n, data0.p, data_path, files)
     return EXIT_OK
 
 
-def _load_draw_store(draws_dir: str) -> tuple[DrawStore, list[str], np.ndarray, np.ndarray]:
-    dpath = os.path.join(draws_dir, "draws.csv")
+def _read_fit(fit_dir: str) -> tuple[FamilyTag, list[str], np.ndarray, np.ndarray, DrawStore]:
+    """Reads what a `fit --save-draws` directory records for scoring: the family
+    in manifest.json, the covariates and fitted (mean, scale) in centering.csv,
+    and the draws in draws.csv. Returns (family, names, mean, scale, draws)."""
+    mpath = os.path.join(fit_dir, "manifest.json")
+    try:
+        with open(mpath) as fh:
+            cfg = json.load(fh)["config"]
+    except (OSError, KeyError, TypeError, json.JSONDecodeError) as e:
+        raise CliError(EXIT_IO, f"cannot recover family from {mpath}: {e}") from None
+    if not isinstance(cfg, dict) or cfg.get("family") is None:
+        raise CliError(EXIT_IO, f"{mpath} does not record a family")
+    family = _family(cfg["family"], cfg.get("r"))
+
+    dpath = os.path.join(fit_dir, "draws.csv")
     header, body = _read_csv(dpath)
-    cpath = os.path.join(draws_dir, "centering.csv")
+    cpath = os.path.join(fit_dir, "centering.csv")
     cheader, cbody = _read_csv(cpath)
-    for path, rows in ((dpath, body), (cpath, cbody)):
-        if not rows:
-            raise CliError(EXIT_IO, f"{path} holds no rows")
-    names = [row[cheader.index("covariate")] for row in cbody]
+    names = [row[_column(cpath, cheader, "covariate")] for row in cbody]
     mean, scale = (_numeric_column(cpath, cheader, cbody, c) for c in ("mean", "scale"))
     alpha, sigma2, g = (_numeric_column(dpath, header, body, c) for c in ("alpha", "sigma2", "g"))
     beta = np.column_stack(
         [_numeric_column(dpath, header, body, f"beta_{c}") for c in names]
     )
-    # Scores average pmfs over draws, so one bad draw would make every score nan.
-    checks = [("sigma2", sigma2, np.isfinite(sigma2) & (sigma2 > 0.0), "finite and positive")]
-    for name, col in (("alpha", alpha), *((f"beta_{c}", beta[:, j]) for j, c in enumerate(names))):
-        checks.append((name, col, np.isfinite(col), "finite"))
-    for name, col, ok, need in checks:
+    # A bad transform moves every row, and scores average pmfs over draws,
+    # so one bad draw would make every score nan.
+    columns = [(cpath, "mean", mean, False), (cpath, "scale", scale, True)]
+    columns += [(dpath, "sigma2", sigma2, True), (dpath, "alpha", alpha, False)]
+    columns += [(dpath, f"beta_{c}", beta[:, j], False) for j, c in enumerate(names)]
+    for path, name, col, positive in columns:
+        ok = np.isfinite(col) & (col > 0.0) if positive else np.isfinite(col)
         if not ok.all():
             i = int(np.argmin(ok))
+            need = "finite and positive" if positive else "finite"
             raise CliError(
-                EXIT_IO, f"{dpath} row {i + 2}, column {name!r}: must be {need}, got {float(col[i])!r}"
+                EXIT_IO, f"{path} row {i + 2}, column {name!r}: must be {need}, got {float(col[i])!r}"
             )
-    store = DrawStore(
-        alpha=alpha,
-        sigma2=sigma2,
-        g=g,
-        included=beta != 0.0,
-        beta=beta,
-    )
-    return store, names, mean, scale
+    draws = DrawStore(alpha=alpha, sigma2=sigma2, g=g, included=beta != 0.0, beta=beta)
+    return family, names, mean, scale, draws
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
-    family_name, r = args.family, args.r
-    if family_name is None:  # recover the family the draws were fitted with
-        mpath = os.path.join(args.draws, "manifest.json")
-        try:
-            with open(mpath) as fh:
-                cfg = json.load(fh)["config"]
-        except (OSError, KeyError, json.JSONDecodeError) as e:
-            raise CliError(EXIT_IO, f"cannot recover family from {mpath}: {e}") from None
-        family_name, r = cfg.get("family"), cfg.get("r")
-        if family_name is None:
-            raise CliError(EXIT_IO, f"{mpath} does not record a family; pass --family")
-    family = _family(family_name, r)
-    store, names, mean, scale = _load_draw_store(args.draws)
-
+    family, names, mean, scale, draws = _read_fit(args.draws)
     _, X, y, trials = _load_table(args, family, names)
-    X_std = (X - mean) / scale
-    data = Dataset(y=y, X=X_std, family=family, trials=trials)
-    # The count rule guards a fit; a holdout may hold only zeros.
-    with suppress(PosteriorImproprietyRisk):
-        validate_dataset(data)
-
-    logp, floored = per_point_log_predictive(data, store, np.zeros(data.p))
+    logp, floored = _score(family, X, y, trials, mean, scale, draws)
+    n = len(y)
     lps_value = float(-logp.mean())
 
     os.makedirs(args.out_dir, exist_ok=True)
@@ -440,12 +450,12 @@ def cmd_predict(args: argparse.Namespace) -> int:
             args.out_dir,
             "predictions.csv",
             ["index", "y", "log_prob", "floored"],
-            [(str(i), int(y[i]), logp[i], str(int(floored[i]))) for i in range(data.n)],
+            [(str(i), int(y[i]), logp[i], str(int(floored[i]))) for i in range(n)],
         ),
-        _write_csv(args.out_dir, "lps.csv", ["n_points", "lps"], [(str(data.n), lps_value)]),
+        _write_csv(args.out_dir, "lps.csv", ["n_points", "lps"], [(str(n), lps_value)]),
     ]
-    _write_manifest(args, t0, data.n, data.p, args.input, "as-recorded", files)
-    print(f"lps {lps_value!r} over {data.n} points", file=sys.stdout)
+    _write_manifest(args, t0, n, len(names), args.input, files)
+    print(f"lps {lps_value!r} over {n} points", file=sys.stdout)
     return EXIT_OK
 
 
@@ -454,33 +464,21 @@ def cmd_cv(args: argparse.Namespace) -> int:
     if not 0.0 < args.test_share < 1.0:
         raise CliError(EXIT_VALIDATION, f"--test-share must lie in (0, 1), got {args.test_share}")
     family = _family(args.family, args.r)
-    names, X_raw, y, trials = _load_table(args, family)
+    names, X, y, trials = _load_table(args, family)
     n = y.shape[0]
-    n_test = max(1, int(round(args.test_share * n)))
-    if n_test >= n - 1:
-        raise CliError(EXIT_VALIDATION, f"--test-share {args.test_share} leaves no training data")
+    n_test = int(round(args.test_share * n))
+    if not 2 <= n_test <= n - 2:  # the scorer's structural rule needs two test rows too
+        why = f"{n_test} test and {n - n_test} training rows; each needs at least 2"
+        raise CliError(EXIT_VALIDATION, f"--test-share {args.test_share} leaves {why}")
+
+    def part(idx):
+        return X[idx], y[idx], None if trials is None else trials[idx]
 
     scores = []
     for s in range(args.splits):
         perm = np.random.default_rng((args.seed, s)).permutation(n)
-        test_idx, train_idx = perm[:n_test], perm[n_test:]
-        X_tr, shift, scale = _standardize(X_raw[train_idx], names, args.standardize)
-        data_tr = Dataset(
-            y=y[train_idx],
-            X=X_tr,
-            family=family,
-            trials=None if trials is None else trials[train_idx],
-        )
-        out = _run(args, data_tr, args.seed + s)
-        eff_mean = shift + scale * out.col_means
-        X_te = (X_raw[test_idx] - eff_mean) / scale
-        data_te = Dataset(
-            y=y[test_idx],
-            X=X_te,
-            family=family,
-            trials=None if trials is None else trials[test_idx],
-        )
-        logp, _ = per_point_log_predictive(data_te, out.draws, np.zeros(data_te.p))
+        out, mean, scale = _fit(args, family, names, *part(perm[n_test:]), args.seed + s)
+        logp, _ = _score(family, *part(perm[:n_test]), mean, scale, out.draws)
         scores.append(float(-logp.mean()))
 
     arr = np.asarray(scores)
@@ -491,7 +489,7 @@ def cmd_cv(args: argparse.Namespace) -> int:
     ]
     os.makedirs(args.out_dir, exist_ok=True)
     files = [_write_csv(args.out_dir, "cv_scores.csv", ["split", "n_test", "lps"], rows)]
-    _write_manifest(args, t0, n, len(names), args.input, args.standardize, files)
+    _write_manifest(args, t0, n, len(names), args.input, files)
     return EXIT_OK
 
 
@@ -505,8 +503,8 @@ def _add_sampler_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--chains", type=int, default=1)
 
 
-def _add_family_flags(sp: argparse.ArgumentParser, default: str | None = "pln") -> None:
-    sp.add_argument("--family", choices=FAMILY_NAMES, default=default)
+def _add_family_flags(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--family", choices=FAMILY_NAMES, default="pln")
     sp.add_argument("--r", type=int, default=None, help="negative-binomial size for nbl")
 
 
@@ -547,8 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     pred.add_argument("--draws", required=True, help="out-dir of a fit run with --save-draws")
     pred.add_argument("--input", required=True)
     pred.add_argument("--outcome", required=True)
-    pred.add_argument("--trials", default=None)
-    _add_family_flags(pred, default=None)  # default: the family recorded with the draws
+    pred.add_argument("--trials", default=None)  # the family is the one the fit recorded
     pred.add_argument("--out-dir", required=True)
     pred.set_defaults(func=cmd_predict)
 

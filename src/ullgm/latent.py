@@ -40,7 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import FamilyTag, ScaleAdapter
-from .likelihoods import loglik_value_grad, softplus
+from .likelihoods import logistic, loglik_value_grad, softplus
 
 BARKER_TARGET_ACC = 0.57
 
@@ -95,8 +95,7 @@ def barker_step(z, lik, step, linpred, sigma2, loglik, rng: np.random.Generator)
         # e: -d g0 is +-(xi g0) exactly, so its absolute value is |xi g0|.
         a = xi * g0h
         e = np.exp(-np.abs(a))
-        # logistic(a) = where(a >= 0, 1, e) / (1 + e), and e <= 1
-        d = xi * ((u_dir < np.maximum(e, a >= 0) / (1.0 + e)) * 2.0 - 1.0)
+        d = xi * ((u_dir < logistic(a, e)) * 2.0 - 1.0)
         z_prop = z + d
         lik1 = loglik(z_prop)
         v1, g1 = conditional_value_grad(lik1, z_prop, linpred, sigma2)

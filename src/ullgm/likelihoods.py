@@ -28,7 +28,7 @@ def softplus(z):
     return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
-def _logistic(z, e):
+def logistic(z, e):
     """logistic(z) from e = exp(-|z|); finite at every z.
 
     logistic(z) = where(z >= 0, 1, e) / (1 + e), which agrees with scipy's
@@ -43,7 +43,7 @@ def softplus_expit(z):
     """softplus(z) and logistic(z) from one exp(-|z|); finite at every z."""
     z = np.asarray(z, dtype=np.float64)
     e = np.exp(-np.abs(z))
-    return np.maximum(z, 0.0) + np.log1p(e), _logistic(z, e)
+    return np.maximum(z, 0.0) + np.log1p(e), logistic(z, e)
 
 
 def _as_float_arrays(*xs):
@@ -135,5 +135,5 @@ def loglik_grad_curvature(family: FamilyTag, y, z, trials=None):
         return y - ez, -ez
     a, N = logit_counts(family, y, trials)
     z = np.asarray(z, dtype=np.float64)
-    sig = _logistic(z, np.exp(-np.abs(z)))
+    sig = logistic(z, np.exp(-np.abs(z)))
     return a - N * sig, -N * (sig * (1.0 - sig))

@@ -17,7 +17,7 @@ Holdout points are scored in Newton blocks of QUAD_ORDER * BUDGET // S
 points, so memory stays bounded by the block, not the holdout. A block's
 linear predictors form a (rows, S) array, with (rows, 1) outcomes and
 trials and sigma2 per draw: the one input shape of the kernels
-(predictive_pmf builds a (1, 1) one). Newton re-centring runs once over the
+(one point's draws form a (1, S) one). Newton re-centring runs once over the
 whole block, so its many small numpy calls are paid per block of about
 QUAD_ORDER * BUDGET linear predictors, the size of one node grid. The
 node-major (order, rows, S) grid is built in tiles of at most BUDGET linear
@@ -166,23 +166,6 @@ def log_predictive_draws(y, trials, lin, sigma2, family: FamilyTag) -> np.ndarra
     out += np.log(scale) - 0.5 * np.log(2.0 * np.pi * s2)
     np.maximum(out, LOG_PMF_FLOOR, out=out)
     return out
-
-
-def predictive_pmf(
-    y,
-    x_new: np.ndarray,
-    alpha: float,
-    beta: np.ndarray,
-    sigma2: float,
-    family: FamilyTag,
-    col_means: np.ndarray,
-    trials=None,
-) -> float:
-    """Predictive probability of y at one parameter draw; x_new is on the raw
-    covariate scale and gets centered with the training column means."""
-    linpred = alpha + (np.asarray(x_new, dtype=np.float64) - col_means) @ beta
-    block = [None if v is None else np.full((1, 1), v, np.float64) for v in (y, trials, linpred)]
-    return float(np.exp(log_predictive_draws(*block, sigma2, family)[0, 0]))
 
 
 def per_point_log_predictive(

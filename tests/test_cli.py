@@ -171,12 +171,13 @@ def test_fit_validation_exit_codes(tmp_path):
         ["simulate", "--n", "40", "--p", "10", "--family", "bil", "--trials-count", "0"],
         ["cv", "--input", "{data}", "--outcome", "count", "--splits", "1", "--test-share", "-1"],
         ["cv", "--input", "{data}", "--outcome", "count", "--splits", "1", "--test-share", "1"],
+        ["cv", "--input", "{data}", "--outcome", "count", "--splits", "1", "--test-share", "0.01"],
         ["fit", "--input", "{data}", "--outcome", "count", "--msize", "0"],
         ["fit", "--input", "{data}", "--outcome", "count", "--msize", "4"],  # p = 4
     ],
     ids=[
         "chains", "r", "splits", "p", "replicates", "n", "trials-count", "test-share",
-        "test-share-1", "msize-0", "msize-p",
+        "test-share-1", "test-share-one-row", "msize-0", "msize-p",
     ],
 )
 def test_bad_counts_are_validation_errors(tmp_path, capsys, argv):
@@ -212,6 +213,9 @@ def test_fit_io_failures(tmp_path):
     ragged = tmp_path / "ragged.csv"
     ragged.write_text("count,x0\n1,0.5\n2\n")
     assert main(_fit_args(ragged, out)) == EXIT_IO
+    header_only = tmp_path / "header_only.csv"
+    header_only.write_text("count,x0\n")
+    assert main(_fit_args(header_only, out)) == EXIT_IO
     text = tmp_path / "text.csv"
     text.write_text("count,x0\n1,0.5\nfoo,0.3\n")
     assert main(_fit_args(text, out)) == EXIT_IO
@@ -325,25 +329,40 @@ def test_predict_and_cv(tmp_path, capsys):
         capsys.readouterr()
         assert predict(empty, tmp_path / "pred_empty") == EXIT_IO, name
         assert capsys.readouterr().err.startswith(f"error: {path} holds no rows"), name
-    # a draw with a non-positive or nan sigma2, or a non-finite alpha or beta, is rejected
-    draws_header, draws_rows = _read_csv(fit_out / "draws.csv")
+    # a centering.csv without its covariate column is an I/O error, not a crash
+    unnamed = tmp_path / "unnamed"
+    shutil.copytree(fit_out, unnamed)
+    path = unnamed / "centering.csv"
+    path.write_text(path.read_text().replace("covariate,", "name,", 1))
+    capsys.readouterr()
+    assert predict(unnamed, tmp_path / "pred_unnamed") == EXIT_IO
+    assert capsys.readouterr().err == f"error: {path}: no column named 'covariate'\n"
+    # a draw with a non-positive or nan sigma2, or a non-finite alpha or beta, is
+    # rejected, and so is a transform with a non-finite mean or a non-positive or
+    # non-finite scale
+    draws_header, _ = _read_csv(fit_out / "draws.csv")
     beta_col = next(c for c in draws_header if c.startswith("beta_"))
-    for col, value, need in (
-        ("sigma2", "-0.5", "finite and positive"),
-        ("sigma2", "nan", "finite and positive"),
-        ("alpha", "inf", "finite"),
-        (beta_col, "nan", "finite"),
+    for name, col, value, need in (
+        ("draws.csv", "sigma2", "-0.5", "finite and positive"),
+        ("draws.csv", "sigma2", "nan", "finite and positive"),
+        ("draws.csv", "alpha", "inf", "finite"),
+        ("draws.csv", beta_col, "nan", "finite"),
+        ("centering.csv", "mean", "inf", "finite"),
+        ("centering.csv", "mean", "nan", "finite"),
+        ("centering.csv", "scale", "-1", "finite and positive"),
+        ("centering.csv", "scale", "0", "finite and positive"),
+        ("centering.csv", "scale", "nan", "finite and positive"),
     ):
         bad = tmp_path / f"bad_{col}_{value}"
         shutil.copytree(fit_out, bad)
-        rows = [list(r) for r in draws_rows]
-        rows[1][draws_header.index(col)] = value
-        path = bad / "draws.csv"
-        path.write_text("\n".join(",".join(r) for r in [draws_header, *rows]) + "\n")
+        header, rows = _read_csv(fit_out / name)
+        rows[1][header.index(col)] = value
+        path = bad / name
+        path.write_text("\n".join(",".join(r) for r in [header, *rows]) + "\n")
         capsys.readouterr()
         assert predict(bad, tmp_path / "pred_bad") == EXIT_IO, (col, value)
         want = f"error: {path} row 3, column {col!r}: must be {need}, got {float(value)!r}"
-        assert capsys.readouterr().err.startswith(want), (col, value)
+        assert capsys.readouterr().err == want + "\n", (col, value)
         assert not (tmp_path / "pred_bad").exists()
     header, rows = _read_csv(pred_out / "predictions.csv")
     assert header == ["index", "y", "log_prob", "floored"]
@@ -378,7 +397,7 @@ def test_predict_and_cv(tmp_path, capsys):
     np.testing.assert_allclose(float(rows[4][2]), np.median(vals), rtol=1e-9)
 
 
-def test_predict_recovers_nbl_family_from_the_manifest(tmp_path):
+def test_predict_takes_the_family_from_the_fit(tmp_path, capsys):
     inp = _write_counts_csv(tmp_path / "d.csv", n=90)
     fit_out = tmp_path / "fit"
     args = _fit_args(inp, fit_out, ("--r", "2", "--save-draws"))
@@ -398,24 +417,111 @@ def test_predict_recovers_nbl_family_from_the_manifest(tmp_path):
         ]
         return main(argv), out / "predictions.csv"
 
+    # the fit's record is the only source of the family: predict has no flag for it
+    with pytest.raises(SystemExit) as e:
+        main(["predict", "--help"])
+    assert e.value.code == EXIT_OK
+    usage = capsys.readouterr().out
+    assert "--family" not in usage and "--r " not in usage
+    for extra in (("--family", "nbl"), ("--family", "pln"), ("--r", "2")):
+        with pytest.raises(SystemExit) as e:
+            predict("flagged", extra)
+        assert e.value.code == EXIT_VALIDATION, extra
+    assert not (tmp_path / "flagged").exists()
+
     code, recovered = predict("recovered")
     assert code == EXIT_OK
-    code, flagged = predict("flagged", ("--family", "nbl", "--r", "2"))
-    assert code == EXIT_OK
-    assert recovered.read_bytes() == flagged.read_bytes()
-    # the family matters: the same draws score differently as pln
-    code, as_pln = predict("as_pln", ("--family", "pln"))
-    assert code == EXIT_OK and as_pln.read_bytes() != recovered.read_bytes()
-
     manifest = fit_out / "manifest.json"
     man = json.loads(manifest.read_text())
-    for family, r, code in (("nbl", 0, EXIT_VALIDATION), ("zz", 2, EXIT_VALIDATION)):
+    assert (man["config"]["family"], man["config"]["r"]) == ("nbl", 2)
+    # the recorded r is the one scored with
+    man["config"]["r"] = 3
+    manifest.write_text(json.dumps(man))
+    code, r3 = predict("r3")
+    assert code == EXIT_OK and r3.read_bytes() != recovered.read_bytes()
+    for family, r, code in (
+        ("nbl", 0, EXIT_VALIDATION), ("zz", 2, EXIT_VALIDATION), ("pln", 2, EXIT_VALIDATION),
+    ):
         man["config"].update(family=family, r=r)
         manifest.write_text(json.dumps(man))
         assert predict(f"{family}{r}")[0] == code, (family, r)
     del man["config"]["family"]
     manifest.write_text(json.dumps(man))
     assert predict("lost")[0] == EXIT_IO
+    for broken in ([man], {"config": [man["config"]]}):
+        manifest.write_text(json.dumps(broken))
+        assert predict("broken")[0] == EXIT_IO, broken
+
+
+def test_cv_split_is_fit_plus_predict(tmp_path):
+    inp = _write_counts_csv(tmp_path / "d.csv", n=60)
+    seed, share = 5, 0.25
+    sampler = ["--iters", "200", "--burnin", "100", "--chains", "2", "--seed", str(seed)]
+    sampler += ["--standardize", "zscore"]
+    cv_out = tmp_path / "cv"
+    argv = ["cv", "--input", str(inp), "--outcome", "count", "--splits", "1"]
+    assert main(argv + ["--test-share", str(share), *sampler, "--out-dir", str(cv_out)]) == EXIT_OK
+    # split 0's rows, in cv's order, as a training table and a holdout table
+    header, rows = _read_csv(inp)
+    perm = np.random.default_rng((seed, 0)).permutation(len(rows))
+    n_test = int(round(share * len(rows)))
+    for name, idx in (("train.csv", perm[n_test:]), ("test.csv", perm[:n_test])):
+        with open(tmp_path / name, "w", newline="") as fh:
+            csv.writer(fh).writerows([header, *(rows[i] for i in idx)])
+    table = ["--outcome", "count"]
+    fit = ["fit", "--input", str(tmp_path / "train.csv"), *table, *sampler, "--save-draws"]
+    assert main(fit + ["--out-dir", str(tmp_path / "fit")]) == EXIT_OK
+    predict = ["predict", "--input", str(tmp_path / "test.csv"), *table]
+    predict += ["--draws", str(tmp_path / "fit"), "--out-dir", str(tmp_path / "pred")]
+    assert main(predict) == EXIT_OK
+    _, lps = _read_csv(tmp_path / "pred" / "lps.csv")
+    _, scores = _read_csv(cv_out / "cv_scores.csv")
+    assert lps[0] == [str(n_test), scores[0][2]] and scores[0][:2] == ["0", str(n_test)]
+
+
+def test_cv_refuses_a_malformed_test_row(tmp_path, capsys):
+    seed = 2
+    header, rows = _read_csv(_write_counts_csv(tmp_path / "d.csv", n=40))
+    # the first test row of split 0, which the fit never sees
+    i = np.random.default_rng((seed, 0)).permutation(len(rows))[0]
+    for value in ("-3", "2.5"):
+        rows[i][0] = value
+        bad = tmp_path / f"bad{value}.csv"
+        with open(bad, "w", newline="") as fh:
+            csv.writer(fh).writerows([header, *rows])
+        out = tmp_path / f"cv{value}"
+        argv = ["cv", "--input", str(bad), "--outcome", "count", "--splits", "1"]
+        argv += ["--iters", "60", "--burnin", "30", "--seed", str(seed), "--out-dir", str(out)]
+        capsys.readouterr()
+        assert main(argv) == EXIT_IO, value
+        want = "error: dataset rejected: y must hold non-negative integers"
+        assert capsys.readouterr().err.startswith(want), value
+        assert not out.exists(), value
+
+
+def test_family_flags_the_family_cannot_use_are_refused(tmp_path, capsys):
+    inp = _write_counts_csv(tmp_path / "d.csv")
+    out = tmp_path / "run"
+    cv = ["cv", "--input", str(inp), "--outcome", "count", "--splits", "1"]
+    cv += ["--iters", "40", "--burnin", "20", "--out-dir", str(out)]
+    sim = ["simulate", "--n", "40", "--p", "10", "--out-dir", str(out)]
+    for argv, want in (
+        (_fit_args(inp, out, ("--trials", "x1")), "--trials applies to --family bil only"),
+        (cv + ["--trials", "x1"], "--trials applies to --family bil only"),
+        (_fit_args(inp, out, ("--r", "3")), "family 'pln' takes no size parameter"),
+        (cv + ["--family", "bil", "--trials", "x1", "--r", "3"], "family 'bil' takes no size"),
+        (sim + ["--r", "3"], "family 'pln' takes no size parameter"),
+    ):
+        capsys.readouterr()
+        assert main(argv) == EXIT_VALIDATION, argv
+        assert capsys.readouterr().err.startswith(f"error: {want}"), argv
+        assert not out.exists(), argv
+    # predict refuses --trials the same way on a pln fit
+    fit_out = tmp_path / "fit"
+    assert main(_fit_args(inp, fit_out, ("--save-draws",))) == EXIT_OK
+    predict = ["predict", "--input", str(inp), "--outcome", "count", "--trials", "x1"]
+    assert main(predict + ["--draws", str(fit_out), "--out-dir", str(out)]) == EXIT_VALIDATION
+    assert not out.exists()
 
 
 def test_predict_missing_training_covariate(tmp_path):
@@ -533,7 +639,7 @@ def _unread_flags(argv):
 
 
 def test_every_parsed_flag_is_read(tmp_path):
-    # bil data, so that --trials has a reader; on pln it is unread by design
+    # bil and pln data: --trials is read, to use it or to refuse it, on every family
     rng = np.random.default_rng(4)
     n, p = 40, 3
     X = rng.normal(size=(n, p))
@@ -545,23 +651,28 @@ def test_every_parsed_flag_is_read(tmp_path):
         w.writerow(["y", "n"] + [f"x{j}" for j in range(p)])
         for i in range(n):
             w.writerow([y[i], trials[i], *X[i]])
-    table = ["--input", str(inp), "--outcome", "y", "--trials", "n"]
-    data = [*table, "--covariates", "x0,x1,x2"]
-    sampler = ["--family", "bil", "--iters", "60", "--burnin", "30"]
-    fit = tmp_path / "fit"
-    runs = {
-        "fit": ["fit", *data, *sampler, "--save-draws", "--out-dir", str(fit)],
-        "cv": ["cv", *data, *sampler, "--splits", "1", "--out-dir", str(tmp_path / "cv")],
-        "predict": [
-            "predict", *table, "--draws", str(fit), "--out-dir", str(tmp_path / "pred"),
-        ],
-        "simulate": [
-            "simulate", "--n", "40", "--p", "10", "--run", *sampler,
-            "--out-dir", str(tmp_path / "sim"),
-        ],
-    }
-    unread = {sub: _unread_flags(argv) for sub, argv in runs.items()}
-    assert unread == {sub: [] for sub in runs}
+    runs = {}
+    for family in ("bil", "pln"):
+        table = ["--input", str(inp), "--outcome", "y"]
+        table += ["--trials", "n"] if family == "bil" else []
+        data = [*table, "--covariates", "x0,x1,x2"]
+        sampler = ["--family", family, "--iters", "60", "--burnin", "30"]
+        fit = tmp_path / f"fit_{family}"
+        runs.update({
+            f"fit {family}": ["fit", *data, *sampler, "--save-draws", "--out-dir", str(fit)],
+            f"cv {family}": [
+                "cv", *data, *sampler, "--splits", "1", "--out-dir", str(tmp_path / f"cv_{family}"),
+            ],
+            f"predict {family}": [
+                "predict", *table, "--draws", str(fit), "--out-dir", str(tmp_path / f"pred_{family}"),
+            ],
+            f"simulate {family}": [
+                "simulate", "--n", "40", "--p", "10", "--run", *sampler,
+                "--out-dir", str(tmp_path / f"sim_{family}"),
+            ],
+        })
+    unread = {run: _unread_flags(argv) for run, argv in runs.items()}
+    assert unread == {run: [] for run in runs}
 
 
 def test_unknown_column_is_io_error(tmp_path):

@@ -19,7 +19,6 @@ from ullgm.predictive import (
     log_predictive_draws,
     lps,
     per_point_log_predictive,
-    predictive_pmf,
 )
 
 
@@ -100,20 +99,6 @@ def test_predictive_sums_to_one():
     np.testing.assert_allclose(tot, 1.0, atol=1e-6)
 
 
-def test_predictive_pmf_applies_centering():
-    # a model draw scores a new point through the centered design
-    x_new = np.array([2.0, -1.0])
-    col_means = np.array([1.5, 0.5])
-    beta = np.array([0.7, -0.2])
-    alpha, sigma2 = 0.9, 0.25
-    lin = alpha + (x_new - col_means) @ beta
-    direct = np.exp(
-        _one_point(3.0, None, np.array([lin]), np.array([sigma2]), PLN)
-    )[0]
-    got = predictive_pmf(3.0, x_new, alpha, beta, sigma2, PLN, col_means)
-    np.testing.assert_allclose(got, direct, rtol=1e-12)
-
-
 def test_moment_matching_anchors():
     m, s = _moments(5.0, None, 0.2, 0.3, PLN)
     assert np.isfinite(m) and s > 0
@@ -168,18 +153,8 @@ def test_lps_averages_over_draws_before_logging():
     # Jensen: averaging pmfs then logging beats logging per draw
     per_draw = np.zeros(6)
     for i in range(6):
-        vals = np.array(
-            [
-                np.log(
-                    predictive_pmf(
-                        y[i], X[i], draws.alpha[s], draws.beta[s],
-                        draws.sigma2[s], PLN, col_means,
-                    )
-                )
-                for s in range(S)
-            ]
-        )
-        per_draw[i] = vals.mean()
+        linpred = draws.alpha + (X[i] - col_means) @ draws.beta.T
+        per_draw[i] = _one_point(y[i], None, linpred, draws.sigma2, PLN).mean()
     assert got <= -per_draw.mean() + 1e-12
 
 
@@ -195,9 +170,7 @@ def test_single_draw_lps_is_minus_log_pmf():
 
     X = np.array([[1.0]])
     holdout = Dataset(y=[2.0], X=X, family=PLN)
-    want = -np.log(
-        predictive_pmf(2.0, X[0], 0.4, np.array([0.3]), 0.2, PLN, np.zeros(1))
-    )
+    want = -_one_point(2.0, None, np.array([0.4 + 1.0 * 0.3]), np.array([0.2]), PLN)[0]
     np.testing.assert_allclose(lps(holdout, draws, np.zeros(1)), want, rtol=1e-12)
 
 
