@@ -43,8 +43,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_IO = 3
 
-STANDARDIZE_MODES = ("center", "zscore")  # fit and cv; simulate's data are not transformed
-
 
 class CliError(Exception):
     def __init__(self, exit_code: int, message: str):
@@ -156,20 +154,8 @@ def _parse_gprior(text: str, n: int):
     raise CliError(EXIT_VALIDATION, f"unknown --gprior {text!r} (uip | fixed:<g> | hyper-gn:<a>)")
 
 
-def _standardize(X: np.ndarray, names: list[str], mode: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Returns (transformed X, shift, scale) of the CLI-level transform."""
-    if mode == "center":
-        return X, np.zeros(X.shape[1]), np.ones(X.shape[1])
-    means = X.mean(axis=0)
-    sds = X.std(axis=0)
-    for j, s in enumerate(sds):
-        if not s > 0:
-            raise CliError(EXIT_IO, f"column {names[j]!r} is constant; cannot zscore")
-    return (X - means) / sds, means, sds
-
-
 def _load_table(args: argparse.Namespace, family: FamilyTag, names: list[str] | None = None):
-    """Reads --input and binds column roles. Returns (names, X, y, trials).
+    """Reads --input and binds column roles. Returns (names, data).
 
     `names`, when given, are the covariates a fit was trained on; one the
     table lacks is a validation error, reported before any column is read.
@@ -203,7 +189,7 @@ def _load_table(args: argparse.Namespace, family: FamilyTag, names: list[str] | 
             why = "is the outcome" if c == args.outcome else "is named twice"
             raise CliError(EXIT_VALIDATION, f"covariate {c!r} {why}")
     X = np.column_stack([_numeric_column(args.input, header, body, c) for c in names])
-    return names, X, y, trials
+    return names, Dataset(y=y, X=X, family=family, trials=trials)
 
 
 def _run(args: argparse.Namespace, data: Dataset, seed: int) -> ChainOutput:
@@ -228,33 +214,21 @@ def _run(args: argparse.Namespace, data: Dataset, seed: int) -> ChainOutput:
     return run_chains(data, prior, config, args.chains)
 
 
-def _fit(
-    args: argparse.Namespace, family: FamilyTag, names: list[str], X, y, trials, seed: int
-) -> tuple[ChainOutput, np.ndarray, np.ndarray]:
-    """Standardizes X and runs the chains. Returns (output, mean, scale), where
-    x -> (x - mean) / scale is the fitted transform of raw covariates that the
-    coefficients apply to: the in-library centering is folded into the shift."""
-    X_std, shift, scale = _standardize(X, names, args.standardize)
-    out = _run(args, Dataset(y=y, X=X_std, family=family, trials=trials), seed)
-    return out, shift + scale * out.col_means, scale
-
-
-def _score(family: FamilyTag, X, y, trials, mean, scale, draws: DrawStore):
-    """Scores raw rows under draws fitted through x -> (x - mean) / scale.
+def _score(data: Dataset, mean: np.ndarray, draws: DrawStore):
+    """Scores raw rows under draws fitted to covariates centered at `mean`.
     Returns per_point_log_predictive's (log probs, floor flags). The rows
     must pass the structural rule; the count rule guards a fit, and a
-    holdout may hold only zeros."""
-    data = Dataset(y=y, X=(X - mean) / scale, family=family, trials=trials)
+    holdout may hold only zeros, or one row."""
     with suppress(PosteriorImproprietyRisk):
         validate_dataset(data)
-    return per_point_log_predictive(data, draws, np.zeros(data.p))
+    return per_point_log_predictive(data, draws, mean)
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
     family = _family(args.family, args.r)
-    names, X, y, trials = _load_table(args, family)
-    out, mean, scale = _fit(args, family, names, X, y, trials, args.seed)
+    names, data = _load_table(args, family)
+    out = _run(args, data, args.seed)  # its coefficients apply to x - out.col_means
 
     os.makedirs(args.out_dir, exist_ok=True)
     d = out.draws
@@ -296,8 +270,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
         _write_csv(
             args.out_dir,
             "centering.csv",
-            ["covariate", "mean", "scale"],
-            [(names[j], mean[j], scale[j]) for j in range(len(names))],
+            ["covariate", "mean"],
+            [(names[j], out.col_means[j]) for j in range(len(names))],
         ),
         _write_csv(
             args.out_dir,
@@ -325,7 +299,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         header = ["alpha", "sigma2", "g"] + [f"beta_{c}" for c in names]
         body = np.column_stack([d.alpha, d.sigma2, d.g, d.beta])
         files.append(_write_csv(args.out_dir, "draws.csv", header, body))
-    _write_manifest(args, t0, len(y), len(names), args.input, files)
+    _write_manifest(args, t0, data.n, len(names), args.input, files)
     return EXIT_OK
 
 
@@ -395,10 +369,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_fit(fit_dir: str) -> tuple[FamilyTag, list[str], np.ndarray, np.ndarray, DrawStore]:
+def _read_fit(fit_dir: str) -> tuple[FamilyTag, list[str], np.ndarray, DrawStore]:
     """Reads what a `fit --save-draws` directory records for scoring: the family
-    in manifest.json, the covariates and fitted (mean, scale) in centering.csv,
-    and the draws in draws.csv. Returns (family, names, mean, scale, draws)."""
+    in manifest.json, the covariates and their fitted means in centering.csv,
+    and the draws in draws.csv. Returns (family, names, mean, draws)."""
     mpath = os.path.join(fit_dir, "manifest.json")
     try:
         with open(mpath) as fh:
@@ -413,15 +387,17 @@ def _read_fit(fit_dir: str) -> tuple[FamilyTag, list[str], np.ndarray, np.ndarra
     header, body = _read_csv(dpath)
     cpath = os.path.join(fit_dir, "centering.csv")
     cheader, cbody = _read_csv(cpath)
+    if "scale" in cheader:  # only older fits wrote one, some with betas per sd of x
+        raise CliError(EXIT_IO, f"{cpath} has a 'scale' column; refit to score this fit")
     names = [row[_column(cpath, cheader, "covariate")] for row in cbody]
-    mean, scale = (_numeric_column(cpath, cheader, cbody, c) for c in ("mean", "scale"))
+    mean = _numeric_column(cpath, cheader, cbody, "mean")
     alpha, sigma2, g = (_numeric_column(dpath, header, body, c) for c in ("alpha", "sigma2", "g"))
     beta = np.column_stack(
         [_numeric_column(dpath, header, body, f"beta_{c}") for c in names]
     )
-    # A bad transform moves every row, and scores average pmfs over draws,
+    # A bad mean moves every row, and scores average pmfs over draws,
     # so one bad draw would make every score nan.
-    columns = [(cpath, "mean", mean, False), (cpath, "scale", scale, True)]
+    columns = [(cpath, "mean", mean, False)]
     columns += [(dpath, "sigma2", sigma2, True), (dpath, "alpha", alpha, False)]
     columns += [(dpath, f"beta_{c}", beta[:, j], False) for j, c in enumerate(names)]
     for path, name, col, positive in columns:
@@ -433,15 +409,15 @@ def _read_fit(fit_dir: str) -> tuple[FamilyTag, list[str], np.ndarray, np.ndarra
                 EXIT_IO, f"{path} row {i + 2}, column {name!r}: must be {need}, got {float(col[i])!r}"
             )
     draws = DrawStore(alpha=alpha, sigma2=sigma2, g=g, included=beta != 0.0, beta=beta)
-    return family, names, mean, scale, draws
+    return family, names, mean, draws
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
-    family, names, mean, scale, draws = _read_fit(args.draws)
-    _, X, y, trials = _load_table(args, family, names)
-    logp, floored = _score(family, X, y, trials, mean, scale, draws)
-    n = len(y)
+    family, names, mean, draws = _read_fit(args.draws)
+    _, data = _load_table(args, family, names)
+    logp, floored = _score(data, mean, draws)
+    n, y = data.n, data.y
     lps_value = float(-logp.mean())
 
     os.makedirs(args.out_dir, exist_ok=True)
@@ -464,21 +440,22 @@ def cmd_cv(args: argparse.Namespace) -> int:
     if not 0.0 < args.test_share < 1.0:
         raise CliError(EXIT_VALIDATION, f"--test-share must lie in (0, 1), got {args.test_share}")
     family = _family(args.family, args.r)
-    names, X, y, trials = _load_table(args, family)
-    n = y.shape[0]
+    names, data = _load_table(args, family)
+    n = data.n
     n_test = int(round(args.test_share * n))
-    if not 2 <= n_test <= n - 2:  # the scorer's structural rule needs two test rows too
-        why = f"{n_test} test and {n - n_test} training rows; each needs at least 2"
+    if not 1 <= n_test <= n - 2:
+        why = f"{n_test} test and {n - n_test} training rows; the fit needs at least 2"
         raise CliError(EXIT_VALIDATION, f"--test-share {args.test_share} leaves {why}")
 
     def part(idx):
-        return X[idx], y[idx], None if trials is None else trials[idx]
+        trials = None if data.trials is None else data.trials[idx]
+        return Dataset(y=data.y[idx], X=data.X[idx], family=family, trials=trials)
 
     scores = []
     for s in range(args.splits):
         perm = np.random.default_rng((args.seed, s)).permutation(n)
-        out, mean, scale = _fit(args, family, names, *part(perm[n_test:]), args.seed + s)
-        logp, _ = _score(family, *part(perm[:n_test]), mean, scale, out.draws)
+        out = _run(args, part(perm[n_test:]), args.seed + s)
+        logp, _ = _score(part(perm[:n_test]), out.col_means, out.draws)
         scores.append(float(-logp.mean()))
 
     arr = np.asarray(scores)
@@ -522,7 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--covariates", default=None, help="comma-separated columns (default: all)")
     _add_family_flags(fit)
     _add_sampler_flags(fit)
-    fit.add_argument("--standardize", choices=STANDARDIZE_MODES, default="center")
     fit.add_argument("--save-draws", action="store_true")
     fit.add_argument("--out-dir", required=True)
     fit.set_defaults(func=cmd_fit)
@@ -556,7 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
     cv.add_argument("--covariates", default=None)
     _add_family_flags(cv)
     _add_sampler_flags(cv)
-    cv.add_argument("--standardize", choices=STANDARDIZE_MODES, default="center")
     cv.add_argument("--splits", type=int, required=True)
     cv.add_argument("--test-share", type=float, default=0.15)
     cv.add_argument("--out-dir", required=True)

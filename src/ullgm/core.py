@@ -24,7 +24,7 @@ import numpy as np
 
 FAMILY_NAMES = ("pln", "bil", "nbl")
 
-# Relative pivot tolerance for declaring X_k'X_k rank-deficient.
+# A column is collinear when 1 - R^2 of it on the other columns is at most this.
 RANK_RTOL = 1e-10
 # Robbins-Monro exponent of the proposal-scale schedule: increments shrink as iter^-0.6.
 ADAPT_KAPPA = 0.6
@@ -127,8 +127,6 @@ def validate_dataset(d: Dataset) -> None:
     n, p = X.shape
     if y.ndim != 1 or y.shape[0] != n:
         raise StructuralError(f"y has length {y.shape[0] if y.ndim == 1 else '?'}, X has {n} rows")
-    if n < 2:
-        raise StructuralError("need at least 2 observations")
     if p < 1:
         raise StructuralError("need at least 1 candidate covariate")
     if not np.all(np.isfinite(X)):
@@ -182,9 +180,14 @@ class CenteredDesign:
 
 
 def center_design(X: np.ndarray) -> CenteredDesign:
+    """X minus its column means. A constant column centers to exact zeros,
+    not to the rounding error of its mean, which the rank rule, measuring
+    each column against its own norm, would take for a covariate."""
     X = np.asarray(X, dtype=np.float64)
     means = X.mean(axis=0)
-    return CenteredDesign(X - means, means)
+    Xc = X - means
+    Xc[:, np.all(X == X[:1], axis=0)] = 0.0
+    return CenteredDesign(Xc, means)
 
 
 @dataclass(frozen=True)
@@ -312,19 +315,20 @@ def metropolis_accept(log_ratio: float, rng: np.random.Generator) -> bool:
 def cholesky_with_tol(XtX: np.ndarray) -> np.ndarray | None:
     """Lower Cholesky factor of XtX, or None when effectively rank-deficient.
 
-    A pivot counts as zero when it falls below RANK_RTOL times the average
-    diagonal, so duplicated or constant (centered to zero) columns are
-    rejected rather than factored into noise.
+    Pivot k counts as zero when L_kk^2 <= RANK_RTOL * XtX_kk, that is when
+    1 - R^2 of column k on the columns before it is at most RANK_RTOL (the
+    per-column test of R's lm QR). Each pivot is measured against its own
+    column, so the verdict does not depend on the columns' units, and
+    duplicated or constant (centered to zero) columns are rejected rather
+    than factored into noise.
     """
-    p_k = XtX.shape[0]
-    if p_k == 0:
+    if XtX.shape[0] == 0:
         return np.zeros((0, 0))
-    tol = RANK_RTOL * float(np.trace(XtX)) / p_k
     try:
         L = np.linalg.cholesky(XtX)
     except np.linalg.LinAlgError:
         return None
-    if np.any(np.diag(L) ** 2 <= tol):
+    if np.any(np.diag(L) ** 2 <= RANK_RTOL * np.diag(XtX)):
         return None
     return L
 

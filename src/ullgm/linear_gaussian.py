@@ -106,12 +106,12 @@ class SuffStatsCache:
     marginal in closed form from it.
 
     For the current model k only, it holds the lower Cholesky factor L of
-    A = X_k'X_k, A^{-1} = L^{-T} L^{-1}, Q = A^{-1} X_k'X_out, the Schur
-    pivots d_i = x_i'x_i - x_i'X_k Q_i of the excluded columns and the trace
-    of A. `chol` rebuilds that state from scratch, which the chain does only
-    when a move is accepted. `set_z` refreshes zbar, tss, Xc'z, the
-    least-squares coefficients bhat = A^{-1} X_k'z and the explained sum of
-    squares ess = z'X_k bhat once per iteration. By the sweep-operator
+    A = X_k'X_k, A^{-1} = L^{-T} L^{-1}, Q = A^{-1} X_k'X_out and the Schur
+    pivots d_i = x_i'x_i - x_i'X_k Q_i of the excluded columns. `chol`
+    rebuilds that state from scratch, which the chain does only when a move
+    is accepted. `set_z` refreshes zbar, tss, Xc'z, the least-squares
+    coefficients bhat = A^{-1} X_k'z and the explained sum of squares
+    ess = z'X_k bhat once per iteration. By the sweep-operator
     identities (Goodnight 1979, The American Statistician), `move_ess` then
     gives the ess of every add, delete and swap neighbour in O(p_k):
 
@@ -119,6 +119,11 @@ class SuffStatsCache:
         add i:        ess + c_i^2 / d_i,   c_i = x_i'z - Q_i'X_k'z
         swap j -> i:  delete j, then add i with d_i + q^2/a and
                       c_i + q bhat_j / a, where q = Q_ji and a = A^{-1}_jj
+
+    The rank rule is per column, as in cholesky_with_tol: a neighbour is
+    rank-deficient when its new pivot d_i is at most RANK_RTOL x_i'x_i, that
+    is when 1 - R^2 of x_i on the neighbour's other columns is at most
+    RANK_RTOL, so no verdict depends on the covariates' units.
 
     The methods that take a model (r2, log_marginal, light_stats,
     has_full_rank, sample_beta) hold it through `chol` and read the held
@@ -157,7 +162,6 @@ class SuffStatsCache:
         self.Ainv = Ainv
         self.Q = Q
         self.d = self.xtx_diag[out] - np.einsum("ij,ij->j", B, Q)
-        self.trace = float(self.xtx_diag[idx].sum())
         self._pos[idx] = np.arange(idx.shape[0])
         self._pos[out] = np.arange(out.shape[0])
         self._refresh()
@@ -181,9 +185,8 @@ class SuffStatsCache:
     def move_ess(self, drop: int | None, add: int | None) -> float | None:
         """ess of the held model with covariate `drop` removed and `add`
         included (None for neither), or None when that model is
-        rank-deficient: more than n - 1 covariates, or a new Schur pivot at
-        or below RANK_RTOL times the new model's average diagonal, the test
-        cholesky_with_tol applies. A delete is always full rank."""
+        rank-deficient: more than n - 1 covariates, or a new Schur pivot d
+        at or below RANK_RTOL x_add'x_add. A delete is always full rank."""
         ess = self.ess
         if drop is not None:
             a = self._pos[drop]
@@ -194,16 +197,14 @@ class SuffStatsCache:
             return ess
         i = self._pos[add]
         p_new = self.held.p_k + 1
-        trace = self.trace + self.xtx_diag[add]
         d = self.d[i]
         c = self.xtz_full[add] - self.Q[:, i] @ self.xtz_k
         if drop is not None:
             q = self.Q[a, i]
             p_new -= 1
-            trace -= self.xtx_diag[drop]
             d += q * q / ajj
             c += q * bj / ajj
-        if p_new >= self.n or not d > RANK_RTOL * trace / p_new:
+        if p_new >= self.n or not d > RANK_RTOL * self.xtx_diag[add]:
             return None
         return ess + c * c / d
 

@@ -132,14 +132,56 @@ def test_fit_outputs_reproducible(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
 
-def test_fit_standardize_zscore_scales_back(tmp_path):
-    inp = _write_counts_csv(tmp_path / "d.csv")
-    out = tmp_path / "run"
-    assert main(_fit_args(inp, out, ("--standardize", "zscore"))) == EXIT_OK
-    header, rows = _read_csv(out / "centering.csv")
-    assert header == ["covariate", "mean", "scale"]
-    scales = np.array([float(r[2]) for r in rows])
-    assert np.all(scales != 1.0)
+def test_fits_do_not_depend_on_covariate_units(tmp_path, capsys):
+    # the same table with its columns multiplied by 1e-3, 1, 1e3 and 1e2, so the
+    # signal x0 is in the smallest unit and the move adds large-unit columns to it
+    scales = np.array([1e-3, 1.0, 1e3, 1e2])
+    header, rows = _read_csv(_write_counts_csv(tmp_path / "d.csv", n=90))
+    hold_header, hold_rows = _read_csv(_write_counts_csv(tmp_path / "h.csv", n=20, seed=1))
+
+    def rescaled(name, header, rows):
+        path = tmp_path / name
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            for r in rows:
+                w.writerow([r[0], *(float(v) * c for v, c in zip(r[1:], scales))])
+        return path
+
+    tables = {
+        "unit": (tmp_path / "d.csv", tmp_path / "h.csv"),
+        "mixed": (rescaled("dm.csv", header, rows), rescaled("hm.csv", hold_header, hold_rows)),
+    }
+    fits, lps = {}, {}
+    for key, (inp, hold) in tables.items():
+        fits[key] = tmp_path / f"fit_{key}"
+        args = _fit_args(inp, fits[key], ("--gprior", "hyper-gn:3", "--save-draws"))
+        assert main(args) == EXIT_OK, key
+        predict = ["predict", "--input", str(hold), "--outcome", "count"]
+        predict += ["--draws", str(fits[key]), "--out-dir", str(tmp_path / f"pred_{key}")]
+        capsys.readouterr()
+        assert main(predict) == EXIT_OK, key
+        lps[key] = float(capsys.readouterr().out.split()[1])
+    unit, mixed = fits["unit"], fits["mixed"]
+    assert (unit / "top_models.csv").read_bytes() == (mixed / "top_models.csv").read_bytes()
+    _, su = _read_csv(unit / "summary.csv")
+    _, sm = _read_csv(mixed / "summary.csv")
+    assert [r[:2] for r in su] == [r[:2] for r in sm]  # names and pip
+    # beta is per raw unit: a column c times larger has a beta c times smaller
+    bu, bm = (np.array([[float(v) for v in r[2:]] for r in t]) for t in (su, sm))
+    np.testing.assert_allclose(bm * scales[:, None], bu, rtol=1e-11)
+    _, au = _read_csv(unit / "scalars.csv")
+    _, am = _read_csv(mixed / "scalars.csv")
+    for ru, rm in zip(au, am):
+        if ru[0] in ("alpha", "sigma2"):
+            np.testing.assert_allclose(
+                [float(v) for v in rm[1:]], [float(v) for v in ru[1:]], rtol=1e-12, err_msg=ru[0]
+            )
+    header, cu = _read_csv(unit / "centering.csv")
+    assert header == ["covariate", "mean"]
+    _, cm = _read_csv(mixed / "centering.csv")
+    np.testing.assert_allclose([float(r[1]) for r in cm], scales * [float(r[1]) for r in cu])
+    np.testing.assert_allclose(lps["mixed"], lps["unit"], rtol=1e-12)
 
 
 def test_fit_validation_exit_codes(tmp_path):
@@ -171,13 +213,13 @@ def test_fit_validation_exit_codes(tmp_path):
         ["simulate", "--n", "40", "--p", "10", "--family", "bil", "--trials-count", "0"],
         ["cv", "--input", "{data}", "--outcome", "count", "--splits", "1", "--test-share", "-1"],
         ["cv", "--input", "{data}", "--outcome", "count", "--splits", "1", "--test-share", "1"],
-        ["cv", "--input", "{data}", "--outcome", "count", "--splits", "1", "--test-share", "0.01"],
+        ["cv", "--input", "{data}", "--outcome", "count", "--splits", "1", "--test-share", "0.005"],
         ["fit", "--input", "{data}", "--outcome", "count", "--msize", "0"],
         ["fit", "--input", "{data}", "--outcome", "count", "--msize", "4"],  # p = 4
     ],
     ids=[
         "chains", "r", "splits", "p", "replicates", "n", "trials-count", "test-share",
-        "test-share-1", "test-share-one-row", "msize-0", "msize-p",
+        "test-share-1", "test-share-no-row", "msize-0", "msize-p",
     ],
 )
 def test_bad_counts_are_validation_errors(tmp_path, capsys, argv):
@@ -337,9 +379,21 @@ def test_predict_and_cv(tmp_path, capsys):
     capsys.readouterr()
     assert predict(unnamed, tmp_path / "pred_unnamed") == EXIT_IO
     assert capsys.readouterr().err == f"error: {path}: no column named 'covariate'\n"
+    # a centering.csv with a scale column comes from an older fit, whose betas may
+    # be per sd of each covariate; it is refused, not scored against raw covariates
+    scaled = tmp_path / "scaled"
+    shutil.copytree(fit_out, scaled)
+    path = scaled / "centering.csv"
+    header, rows = _read_csv(path)
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([header + ["scale"], *(r + ["1.0"] for r in rows)])
+    capsys.readouterr()
+    assert predict(scaled, tmp_path / "pred_scaled") == EXIT_IO
+    want = f"error: {path} has a 'scale' column; refit to score this fit\n"
+    assert capsys.readouterr().err == want
+    assert not (tmp_path / "pred_scaled").exists()
     # a draw with a non-positive or nan sigma2, or a non-finite alpha or beta, is
-    # rejected, and so is a transform with a non-finite mean or a non-positive or
-    # non-finite scale
+    # rejected, and so is a non-finite covariate mean
     draws_header, _ = _read_csv(fit_out / "draws.csv")
     beta_col = next(c for c in draws_header if c.startswith("beta_"))
     for name, col, value, need in (
@@ -349,9 +403,6 @@ def test_predict_and_cv(tmp_path, capsys):
         ("draws.csv", beta_col, "nan", "finite"),
         ("centering.csv", "mean", "inf", "finite"),
         ("centering.csv", "mean", "nan", "finite"),
-        ("centering.csv", "scale", "-1", "finite and positive"),
-        ("centering.csv", "scale", "0", "finite and positive"),
-        ("centering.csv", "scale", "nan", "finite and positive"),
     ):
         bad = tmp_path / f"bad_{col}_{value}"
         shutil.copytree(fit_out, bad)
@@ -457,7 +508,6 @@ def test_cv_split_is_fit_plus_predict(tmp_path):
     inp = _write_counts_csv(tmp_path / "d.csv", n=60)
     seed, share = 5, 0.25
     sampler = ["--iters", "200", "--burnin", "100", "--chains", "2", "--seed", str(seed)]
-    sampler += ["--standardize", "zscore"]
     cv_out = tmp_path / "cv"
     argv = ["cv", "--input", str(inp), "--outcome", "count", "--splits", "1"]
     assert main(argv + ["--test-share", str(share), *sampler, "--out-dir", str(cv_out)]) == EXIT_OK
@@ -570,6 +620,16 @@ def test_predict_holdout_rule(tmp_path, capsys):
     assert predict(zeros, tmp_path / "pred_zeros") == EXIT_OK
     _, rows = _read_csv(tmp_path / "pred_zeros" / "predictions.csv")
     assert len(rows) == 6
+    # one row is scored; a fit on it fails the count rule
+    one = holdout("one", [3])
+    capsys.readouterr()
+    assert main(_fit_args(one, tmp_path / "fit_one")) == EXIT_VALIDATION
+    want = "error: dataset rejected: pln needs >= 2 nonzero outcomes, found 1\n"
+    assert capsys.readouterr().err == want
+    assert predict(one, tmp_path / "pred_one") == EXIT_OK
+    assert capsys.readouterr().out.endswith(" over 1 points\n")
+    _, rows = _read_csv(tmp_path / "pred_one" / "predictions.csv")
+    assert len(rows) == 1 and float(rows[0][2]) < 0.0
     # a malformed holdout is still refused, before anything is written
     capsys.readouterr()
     negative = holdout("negative", [1, 0, -2, 3])
@@ -609,18 +669,20 @@ def test_covariates_refuse_a_repeated_name_and_the_outcome(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: covariate 'x0' is named twice")
 
 
-def test_standardize_is_a_fit_and_cv_flag(tmp_path, capsys):
-    for sub in ("fit", "cv", "simulate"):
+def test_standardize_is_refused(tmp_path, capsys):
+    # fits do not depend on covariate units, so no subcommand rescales them
+    inp = _write_counts_csv(tmp_path / "d.csv")
+    out = tmp_path / "run"
+    for argv in (
+        _fit_args(inp, out),
+        ["cv", "--input", str(inp), "--outcome", "count", "--splits", "1", "--out-dir", str(out)],
+        ["simulate", "--n", "40", "--p", "10", "--out-dir", str(out)],
+    ):
         with pytest.raises(SystemExit) as e:
-            main([sub, "--help"])
-        assert e.value.code == EXIT_OK
-        assert ("--standardize" in capsys.readouterr().out) == (sub != "simulate"), sub
-    # simulate's data are never transformed, so the flag is refused, not ignored
-    with pytest.raises(SystemExit) as e:
-        main(["simulate", "--n", "40", "--p", "10", "--standardize", "zscore",
-              "--out-dir", str(tmp_path / "sim")])
-    assert e.value.code == EXIT_VALIDATION
-    assert not (tmp_path / "sim").exists()
+            main(argv + ["--standardize", "zscore"])
+        assert e.value.code == EXIT_VALIDATION, argv[0]
+        assert "unrecognized arguments: --standardize" in capsys.readouterr().err, argv[0]
+        assert not out.exists(), argv[0]
 
 
 def _unread_flags(argv):

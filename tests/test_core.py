@@ -126,6 +126,17 @@ def test_rank_ok_rejects_duplicate_columns():
     assert rank_ok(ModelIndicator.from_indices(3, [0, 2]), Xc, 10)
 
 
+def test_rank_ok_rejects_a_constant_column():
+    # 0.1 minus its computed mean is 1.7e-16, not 0; the per-column rank rule
+    # would take that for a covariate, so centering makes it exact zeros
+    rng = np.random.default_rng(6)
+    X = np.column_stack([rng.normal(size=80), np.full(80, 0.1)])
+    Xc = center_design(X).Xc
+    assert np.all(Xc[:, 1] == 0.0)
+    assert not rank_ok(ModelIndicator.from_indices(2, [1]), Xc)
+    assert not rank_ok(ModelIndicator.from_indices(2, [0, 1]), Xc)
+
+
 def test_rank_ok_rejects_saturated_model():
     rng = np.random.default_rng(4)
     n = 4

@@ -141,9 +141,15 @@ def test_neighbour_rank_verdicts_match_rank_ok():
     X_dup[:, 5] = X_dup[:, 2]
     # n = 7: held models of size 5 = n - 2 and 6 = n - 1, whose adds reach n
     X_short = rng.normal(size=(7, 9))
+    # mixed units: 0 and 1 are an independent pair at scales 1e3 and 1e-3,
+    # which is full rank; 2 and 3 one column at those scales, which is not
+    X_mixed = rng.normal(size=(30, 5))
+    X_mixed[:, 3] = X_mixed[:, 2]
+    X_mixed *= [1e3, 1e-3, 1e3, 1e-3, 1.0]
     cases = (
         (X_dup, ([], [2], [5], [0, 2, 4], [0, 1, 3, 4, 5])),
         (X_short, ([0, 1, 2, 3, 4], [1, 3, 5, 7, 8], [0, 1, 2, 3, 4, 5])),
+        (X_mixed, ([], [0], [1], [0, 2], [1, 3], [0, 1, 2, 4])),
     )
     verdicts = set()
     for X, helds in cases:
@@ -165,6 +171,9 @@ def test_neighbour_rank_verdicts_match_rank_ok():
                     assert cache.held is (N if want else H)
                     verdicts.add(want)
     assert verdicts == {True, False}
+    Xc = center_design(X_mixed).Xc
+    assert rank_ok(ModelIndicator.from_indices(5, [0, 1]), Xc)
+    assert not rank_ok(ModelIndicator.from_indices(5, [2, 3]), Xc)
 
 
 def test_pinned_sigma2_marginal_matches_alpha_integral():
