@@ -8,6 +8,7 @@ checks and the recording of kept draws. The update order lives in step.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import isfinite
 
 import numpy as np
 
@@ -214,8 +215,10 @@ def step(state: ChainState, data: Dataset, prior: PriorConfig, rng: np.random.Ge
         state.size_logp,
         rng,
     )
-    if accepted:
-        cache.chol(M)  # hold the accepted model
+    if accepted and cache.chol(M) is None:  # hold the accepted model
+        raise np.linalg.LinAlgError(
+            f"accepted model is rank-deficient (model move, iteration {state.t})"
+        )
     state.n_accept_model += accepted
     s = cache.light_stats(M)
     if state.hyper:
@@ -232,9 +235,9 @@ def step(state: ChainState, data: Dataset, prior: PriorConfig, rng: np.random.Ge
     alpha = sample_alpha(s, n, sigma2, rng)
     beta_full = state.beta_full
     beta_full[:] = 0.0
-    if M.p_k:
-        beta_full[M.indices] = cache.sample_beta(M, sigma2, g, rng)
-    linpred = alpha + cache.design.Xc @ beta_full
+    beta_k = cache.sample_beta(M, sigma2, g, rng)
+    beta_full[M.indices] = beta_k
+    linpred = cache.linpred(alpha, beta_k)
     z, lat_accepted, state.lik = update_all_latents(
         state.z, state.lik, data.y, data.trials, linpred, sigma2, data.family, state.adapt_z, rng
     )
@@ -256,9 +259,12 @@ def summarize(
     pip = draws.included.mean(axis=0)
     sizes = draws.included.sum(axis=1)
     size_counts = np.bincount(sizes, minlength=p + 1)
-    patterns, counts = np.unique(draws.included, axis=0, return_counts=True)
+    # One byte string per row: the packed rows sort as the boolean rows do.
+    packed = np.packbits(draws.included, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
     order = np.argsort(-counts, kind="stable")
-    top = [(inclusion_bits(patterns[i]), float(counts[i]) / S) for i in order]
+    top = [(inclusion_bits(draws.included[first[i]]), float(counts[i]) / S) for i in order]
     return ChainOutput(
         pip=pip,
         beta_mean=draws.beta.mean(axis=0),
@@ -299,7 +305,7 @@ def run_chain(data: Dataset, prior: PriorConfig, config: ChainConfig) -> ChainOu
             state.adapt_g.frozen = True
         step(state, data, prior, rng)
         alpha, sigma2, g = state.alpha, state.sigma2, state.g
-        if not (np.isfinite(alpha) and np.isfinite(sigma2) and sigma2 > 0 and np.isfinite(g)):
+        if not (isfinite(alpha) and isfinite(sigma2) and sigma2 > 0 and isfinite(g)):
             raise RuntimeError(f"non-finite sampler state at iteration {t}")
         if not np.all(np.isfinite(state.z)):
             raise RuntimeError(f"non-finite latent vector at iteration {t}")

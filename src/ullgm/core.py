@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg.lapack import dtrtri
 
 FAMILY_NAMES = ("pln", "bil", "nbl")
 
@@ -298,11 +299,14 @@ class ScaleAdapter:
     frozen: bool = False
 
     def update(self, accepted) -> None:
+        """accepted is a bool or a bool array shaped like log_scale."""
         self.iter += 1
         if not self.frozen:
-            self.log_scale += self.iter ** -ADAPT_KAPPA * (
-                np.asarray(accepted, dtype=np.float64) - self.target
-            )
+            # iter^-ADAPT_KAPPA (accepted - target) for accepted = 0 and 1,
+            # the same floats as the formula, read off by index
+            c = self.iter**-ADAPT_KAPPA
+            steps = np.array([c * (0.0 - self.target), c * (1.0 - self.target)])
+            self.log_scale += steps[np.asarray(accepted, dtype=bool).view(np.uint8)]
 
 
 def metropolis_accept(log_ratio: float, rng: np.random.Generator) -> bool:
@@ -312,25 +316,31 @@ def metropolis_accept(log_ratio: float, rng: np.random.Generator) -> bool:
     return bool(log_ratio >= 0.0 or np.log(rng.random()) < log_ratio)
 
 
-def cholesky_with_tol(XtX: np.ndarray) -> np.ndarray | None:
-    """Lower Cholesky factor of XtX, or None when effectively rank-deficient.
+def cholesky_with_tol(XtX: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Lower Cholesky factor L of XtX and XtX^{-1} = L^{-T} L^{-1}, or None
+    when XtX is effectively rank-deficient.
 
-    Pivot k counts as zero when L_kk^2 <= RANK_RTOL * XtX_kk, that is when
-    1 - R^2 of column k on the columns before it is at most RANK_RTOL (the
-    per-column test of R's lm QR). Each pivot is measured against its own
-    column, so the verdict does not depend on the columns' units, and
-    duplicated or constant (centered to zero) columns are rejected rather
-    than factored into noise.
+    Column j counts as collinear when 1 - R^2 of it on all the other
+    columns, 1 / (XtX_jj (XtX^{-1})_jj), is at most RANK_RTOL: a bound on
+    the variance inflation factors. The verdict depends neither on the
+    order of the columns nor on their units, and duplicated or constant
+    (centered to zero) columns are rejected rather than factored into
+    noise. SuffStatsCache.move_ess applies the same rule to a neighbour of
+    the held model.
     """
     if XtX.shape[0] == 0:
-        return np.zeros((0, 0))
+        return np.zeros((0, 0)), np.zeros((0, 0))
     try:
         L = np.linalg.cholesky(XtX)
     except np.linalg.LinAlgError:
         return None
-    if np.any(np.diag(L) ** 2 <= RANK_RTOL * np.diag(XtX)):
+    Linv, info = dtrtri(L, lower=1)
+    if info != 0:
         return None
-    return L
+    Ainv = Linv.T @ Linv
+    if not np.all(RANK_RTOL * np.diag(XtX) * np.diag(Ainv) < 1.0):
+        return None
+    return L, Ainv
 
 
 def rank_ok(M: ModelIndicator, Xc: np.ndarray, n: int | None = None) -> bool:

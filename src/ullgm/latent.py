@@ -30,9 +30,17 @@ mask the CPU mispredicts about half of those branches: at n = 5000 one
 np.where took 38 us on a random mask against 10 us on an all-true mask
 (2-vCPU Xeon, numpy 2.4). Each select is replaced by an exact form: the
 direction is xi times +-1.0, the new z is z + d * accepted (z_prop = z + d),
-and the carried likelihood pair is selected on its int64 bits (_select).
-The RNG calls and every float are as with np.where, save that a rejected
-z of -0.0 may come back as the equal +0.0.
+and the carried likelihood pair is selected on its int64 bits (_select);
+a rejected z of -0.0 may come back as the equal +0.0.
+
+The rest of the step is formed in place, in as few array passes as it
+allows: the residual at the proposal is r0 + d, the Gaussian half of the
+log ratio is d (r0 + r1) / (2 sigma2), the direction test is
+u (1 + e) < max(e, a >= 0) without a division, and softplus(-d g0) is
+log1p(e) - min(d g0, 0). The RNG calls, in order and size, and the moves
+of z are those of the textbook form, save that the acceptance arithmetic
+may differ from it by a few ulps: a coordinate within ulps of its
+acceptance threshold could decide the other way.
 """
 
 from __future__ import annotations
@@ -40,20 +48,9 @@ from __future__ import annotations
 import numpy as np
 
 from .core import FamilyTag, ScaleAdapter
-from .likelihoods import logistic, loglik_value_grad, softplus
+from .likelihoods import loglik_value_grad
 
 BARKER_TARGET_ACC = 0.57
-
-
-def conditional_value_grad(lik, z, linpred, sigma2):
-    """Log full conditional of z (up to constants) and its gradient.
-
-    lik is the likelihood pair (value, gradient) at z from loglik_value_grad;
-    the Gaussian term N(z | linpred, sigma2) is added to it.
-    """
-    v, gr = lik
-    resid = z - linpred
-    return v - resid * resid / (2.0 * sigma2), gr - resid / sigma2
 
 
 def _select(mask, new, old):
@@ -75,6 +72,13 @@ def _select(mask, new, old):
     return tuple(out)
 
 
+def _surrogate_grad(grad_lik, resid_over_sigma2):
+    """Gradient of the log full conditional, grad_lik - resid / sigma2, with
+    non-finite entries replaced by 0; overwrites resid_over_sigma2."""
+    g = np.subtract(grad_lik, resid_over_sigma2, out=resid_over_sigma2)
+    return np.where(np.isfinite(g), g, 0.0)
+
+
 def barker_step(z, lik, step, linpred, sigma2, loglik, rng: np.random.Generator):
     """One Barker update of the array z under loglik + log N(linpred, sigma2).
 
@@ -84,25 +88,60 @@ def barker_step(z, lik, step, linpred, sigma2, loglik, rng: np.random.Generator)
     by zero, which turns the proposal into a symmetric random walk at those
     coordinates; the acceptance ratio uses the same surrogate gradient at
     both endpoints, so the kernel stays a valid Metropolis-Hastings step.
+
+    With r0 = z - linpred and r1 = r0 + d the residuals at z and at the
+    proposal z + d, the log acceptance ratio is
+
+        loglik(z + d) - loglik(z) - d (r0 + r1) / (2 sigma2)
+            + softplus(-d g0) - softplus(d g1),
+
+    where softplus(-d g0) = log1p(e) - min(d g0, 0): -d g0 is +-(xi g0)
+    exactly, so e = exp(-|xi g0|) is shared with the direction test.
     """
     n = z.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        v0, g0 = conditional_value_grad(lik, z, linpred, sigma2)
-        g0h = np.where(np.isfinite(g0), g0, 0.0)
-        xi = step * rng.standard_normal(n)
+        r0 = z - linpred
+        g0 = _surrogate_grad(lik[1], r0 / sigma2)
+        xi = rng.standard_normal(n)
+        xi *= step
         u_dir = rng.random(n)
-        # The direction probability logistic(xi g0) and softplus(-d g0) share
-        # e: -d g0 is +-(xi g0) exactly, so its absolute value is |xi g0|.
-        a = xi * g0h
-        e = np.exp(-np.abs(a))
-        d = xi * ((u_dir < logistic(a, e)) * 2.0 - 1.0)
-        z_prop = z + d
-        lik1 = loglik(z_prop)
-        v1, g1 = conditional_value_grad(lik1, z_prop, linpred, sigma2)
-        g1h = np.where(np.isfinite(g1), g1, 0.0)
-        log_acc = (v1 - v0) + (np.maximum(-d * g0h, 0.0) + np.log1p(e)) - softplus(d * g1h)
-        accepted = np.log(rng.random(n)) < log_acc  # NaN rejects
-    return z + d * accepted, accepted, _select(accepted, lik1, lik)
+        a = xi * g0
+        e = np.abs(a)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        # u < logistic(a) = max(e, a >= 0) / (1 + e), without the division
+        buf = np.add(e, 1.0)
+        u_dir *= buf
+        np.maximum(e, a >= 0, out=buf)
+        d = np.less(u_dir, buf) * 2.0
+        d -= 1.0
+        d *= xi
+        lik1 = loglik(z + d)
+        r1 = r0 + d
+        r0 += r1
+        r0 *= d
+        r0 /= 2.0 * sigma2  # the Gaussian half of the log target falls by this
+        g1 = _surrogate_grad(lik1[1], np.divide(r1, sigma2, out=r1))
+        log_acc = lik1[0] - lik[0]
+        log_acc -= r0
+        g0 *= d
+        np.minimum(g0, 0.0, out=g0)
+        np.log1p(e, out=e)
+        e -= g0
+        log_acc += e
+        g1 *= d  # softplus(d g1), formed in place as in likelihoods.softplus
+        np.abs(g1, out=a)
+        np.negative(a, out=a)
+        np.exp(a, out=a)
+        np.log1p(a, out=a)
+        np.maximum(g1, 0.0, out=g1)
+        g1 += a
+        log_acc -= g1
+        u = rng.random(n)
+        np.log(u, out=u)
+        accepted = u < log_acc  # NaN rejects
+    d *= accepted
+    return z + d, accepted, _select(accepted, lik1, lik)
 
 
 def update_all_latents(

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dtrtri, dtrtrs
+from scipy.linalg.lapack import dtrtrs
 
 from .core import RANK_RTOL, CenteredDesign, DegenerateZ, ModelIndicator, cholesky_with_tol
 
@@ -64,10 +64,10 @@ def suff_stats(z: np.ndarray, M: ModelIndicator, design: CenteredDesign) -> Mode
     if tss < TSS_FLOOR:
         raise DegenerateZ("latent vector is numerically constant")
     Xk = design.Xc[:, M.indices]
-    L = cholesky_with_tol(Xk.T @ Xk)
-    if L is None:
+    factors = cholesky_with_tol(Xk.T @ Xk)
+    if factors is None:
         raise np.linalg.LinAlgError("X_k'X_k is rank-deficient for this model")
-    r2, _ = _r2_from_chol(L, Xk.T @ z, tss)
+    r2, _ = _r2_from_chol(factors[0], Xk.T @ z, tss)
     return ModelSuffStats(zbar, tss, r2)
 
 
@@ -106,12 +106,15 @@ class SuffStatsCache:
     marginal in closed form from it.
 
     For the current model k only, it holds the lower Cholesky factor L of
-    A = X_k'X_k, A^{-1} = L^{-T} L^{-1}, Q = A^{-1} X_k'X_out and the Schur
-    pivots d_i = x_i'x_i - x_i'X_k Q_i of the excluded columns. `chol`
-    rebuilds that state from scratch, which the chain does only when a move
-    is accepted. `set_z` refreshes zbar, tss, Xc'z, the least-squares
+    A = X_k'X_k, A^{-1} = L^{-T} L^{-1}, Q = A^{-1} X_k'X_out, the Schur
+    pivots d_i = x_i'x_i - x_i'X_k Q_i of the excluded columns, and the
+    held columns X_k themselves in the leading p_k columns of one
+    column-major n x p buffer, allocated with the cache. `chol` rebuilds
+    that state from scratch, which the chain does only when a move is
+    accepted. `set_z` refreshes zbar, tss, X_k'z, the least-squares
     coefficients bhat = A^{-1} X_k'z and the explained sum of squares
-    ess = z'X_k bhat once per iteration. By the sweep-operator
+    ess = z'X_k bhat once per iteration, so its cost grows with p_k, not p;
+    an added column's x_i'z is formed on demand. By the sweep-operator
     identities (Goodnight 1979, The American Statistician), `move_ess` then
     gives the ess of every add, delete and swap neighbour in O(p_k):
 
@@ -120,10 +123,11 @@ class SuffStatsCache:
         swap j -> i:  delete j, then add i with d_i + q^2/a and
                       c_i + q bhat_j / a, where q = Q_ji and a = A^{-1}_jj
 
-    The rank rule is per column, as in cholesky_with_tol: a neighbour is
-    rank-deficient when its new pivot d_i is at most RANK_RTOL x_i'x_i, that
-    is when 1 - R^2 of x_i on the neighbour's other columns is at most
-    RANK_RTOL, so no verdict depends on the covariates' units.
+    The rank rule is cholesky_with_tol's: a model is full rank when
+    1 / (A_jj A^{-1}_jj) > RANK_RTOL for every column j. For a neighbour
+    after adding i, A^{-1}_ii = 1/d_i and a held column's diagonal grows to
+    A^{-1}_jj + Q_ji^2/d_i; a swap updates A^{-1} and Q for the delete
+    first. A delete never makes a full-rank model deficient.
 
     The methods that take a model (r2, log_marginal, light_stats,
     has_full_rank, sample_beta) hold it through `chol` and read the held
@@ -141,20 +145,14 @@ class SuffStatsCache:
         self.xtx_diag = np.diag(self.XtX_full).copy()
         # position of each covariate within held.indices or held.excluded
         self._pos = np.empty(design.p, dtype=np.intp)
-        self.xtz_full = np.zeros(design.p)
+        self._xk_buf = np.empty((design.n, design.p), order="F")
+        self.z = np.zeros(design.n)
         self.zbar = 0.0
         self.tss = 0.0
-        self._hold(ModelIndicator.null(design.p), np.zeros((0, 0)))
+        self._hold(ModelIndicator.null(design.p), *cholesky_with_tol(np.zeros((0, 0))))
 
-    def _hold(self, M: ModelIndicator, L: np.ndarray) -> None:
+    def _hold(self, M: ModelIndicator, L: np.ndarray, Ainv: np.ndarray) -> None:
         idx, out = M.indices, M.excluded
-        if M.p_k:
-            Linv, info = dtrtri(L, lower=1)
-            if info != 0:  # pragma: no cover
-                raise np.linalg.LinAlgError(f"trtri failed with info={info}")
-            Ainv = Linv.T @ Linv
-        else:
-            Ainv = np.zeros((0, 0))
         B = self.XtX_full[idx][:, out]
         Q = Ainv @ B
         self.held = M
@@ -162,32 +160,47 @@ class SuffStatsCache:
         self.Ainv = Ainv
         self.Q = Q
         self.d = self.xtx_diag[out] - np.einsum("ij,ij->j", B, Q)
+        xtx_k = self.xtx_diag[idx]
+        self._vif_max = float((xtx_k * np.diag(Ainv)).max(initial=1.0))
+        self._rtol_xtx_k = RANK_RTOL * xtx_k
+        self.Xk = self._xk_buf[:, : M.p_k]
+        self.Xk[:] = self.design.Xc[:, idx]
         self._pos[idx] = np.arange(idx.shape[0])
         self._pos[out] = np.arange(out.shape[0])
         self._refresh()
 
     def _refresh(self) -> None:
-        self.xtz_k = self.xtz_full[self.held.indices]
+        self.xtz_k = self.Xk.T @ self.z
         self.bhat = self.Ainv @ self.xtz_k
         self.ess = float(self.xtz_k @ self.bhat)
 
     def set_z(self, z: np.ndarray) -> None:
-        zbar = float(z.mean())
+        """Conditions on z, which the cache reads until the next set_z; the
+        caller must not write to it in between."""
+        zbar = float(z.sum()) / self.n
         zc = z - zbar
         tss = float(zc @ zc)
         if tss < TSS_FLOOR:
             raise DegenerateZ("latent vector is numerically constant")
+        self.z = z
         self.zbar = zbar
         self.tss = tss
-        self.xtz_full = self.design.Xc.T @ z
         self._refresh()
+
+    def linpred(self, alpha: float, beta_k: np.ndarray) -> np.ndarray:
+        """alpha + X_k beta_k for the held model's coefficients beta_k."""
+        out = self.Xk @ beta_k
+        out += alpha
+        return out
 
     def move_ess(self, drop: int | None, add: int | None) -> float | None:
         """ess of the held model with covariate `drop` removed and `add`
         included (None for neither), or None when that model is
-        rank-deficient: more than n - 1 covariates, or a new Schur pivot d
-        at or below RANK_RTOL x_add'x_add. A delete is always full rank."""
+        rank-deficient: more than n - 1 covariates, or a column whose
+        1 - R^2 on the others is at or below RANK_RTOL. A delete is always
+        full rank."""
         ess = self.ess
+        a = None
         if drop is not None:
             a = self._pos[drop]
             ajj = self.Ainv[a, a]
@@ -198,15 +211,34 @@ class SuffStatsCache:
         i = self._pos[add]
         p_new = self.held.p_k + 1
         d = self.d[i]
-        c = self.xtz_full[add] - self.Q[:, i] @ self.xtz_k
-        if drop is not None:
+        c = self.design.Xc[:, add] @ self.z - self.Q[:, i] @ self.xtz_k
+        if a is not None:
             q = self.Q[a, i]
             p_new -= 1
             d += q * q / ajj
             c += q * bj / ajj
-        if p_new >= self.n or not d > RANK_RTOL * self.xtx_diag[add]:
+        bound = RANK_RTOL * self.xtx_diag[add]
+        if p_new >= self.n or not d > bound:
+            return None
+        # A held column's 1 - R^2 falls at most by the factor d / x_i'x_i, the
+        # added column's own 1 - R^2 (Cauchy-Schwarz on the Q_ji^2 / d term),
+        # so the columns need checking one by one only near the threshold.
+        if not d > bound * self._vif_max and not self._held_columns_stay_full_rank(a, i, d):
             return None
         return ess + c * c / d
+
+    def _held_columns_stay_full_rank(self, a: int | None, i: int, d: float) -> bool:
+        """Whether every held column but the one at position `a` keeps
+        1 - R^2 above RANK_RTOL once the excluded column at position `i` is
+        added with pivot d (after the delete of `a`, for a swap)."""
+        diag = np.diag(self.Ainv)
+        q = self.Q[:, i]
+        if a is not None:
+            # the delete's update of A^{-1} and Q; entry a becomes exactly 0
+            r = self.Ainv[:, a] / self.Ainv[a, a]
+            q = q - r * q[a]
+            diag = diag - self.Ainv[:, a] * r
+        return bool(np.all(self._rtol_xtx_k * (diag + q * q / d) < 1.0))
 
     def move_log_marginal(
         self, drop: int | None, add: int | None, g: float, sigma2: float | None = None
@@ -232,10 +264,10 @@ class SuffStatsCache:
                 if M.p_k >= self.n:
                     return None
                 idx = M.indices
-                L = cholesky_with_tol(self.XtX_full[np.ix_(idx, idx)])
-                if L is None:
+                factors = cholesky_with_tol(self.XtX_full[np.ix_(idx, idx)])
+                if factors is None:
                     return None
-                self._hold(M, L)
+                self._hold(M, *factors)
             self.held = M
         return self.L
 

@@ -336,26 +336,30 @@ def test_joint_distribution_forward_vs_gibbs():
 
 
 def test_summarize_top_models_and_sizes():
-    rng = np.random.default_rng(31)
-    kept, p = 200, 3
-    incl = rng.random((kept, p)) < 0.5
-    draws = DrawStore(
-        alpha=rng.normal(size=kept),
-        sigma2=np.abs(rng.normal(size=kept)) + 0.1,
-        g=np.full(kept, 9.0),
-        included=incl,
-        beta=np.where(incl, rng.normal(size=(kept, p)), 0.0),
-    )
     from ullgm.chain import summarize
 
-    out = summarize(draws, np.zeros(p), accept_model=0.3, accept_g=0.0, accept_latent=0.5)
-    assert abs(out.mean_model_size() - incl.sum(axis=1).mean()) < 1e-12
-    top_bits, top_freq = out.top_models[0]
-    want = max(
-        np.unique([",".join(map(str, r.astype(int))) for r in incl], return_counts=True)[1]
-    )
-    assert top_freq == want / kept
-    assert len(top_bits) == p and set(top_bits) <= {"0", "1"}
+    rng = np.random.default_rng(31)
+    # (kept, p, distinct patterns): p below, above and not a multiple of 8;
+    # repeated patterns, so several models tie on their counts; one draw
+    for kept, p, distinct in ((200, 3, None), (400, 13, 12), (240, 9, 6), (1, 10, None)):
+        incl = rng.random((kept, p)) < 0.5
+        if distinct is not None:
+            incl = incl[:distinct][np.arange(kept) % distinct]
+        draws = DrawStore(
+            alpha=rng.normal(size=kept),
+            sigma2=np.abs(rng.normal(size=kept)) + 0.1,
+            g=np.full(kept, 9.0),
+            included=incl,
+            beta=np.where(incl, rng.normal(size=(kept, p)), 0.0),
+        )
+        out = summarize(draws, np.zeros(p), accept_model=0.3, accept_g=0.0, accept_latent=0.5)
+        assert abs(out.mean_model_size() - incl.sum(axis=1).mean()) < 1e-12
+        # the reference: np.unique over boolean rows, most visited first, ties
+        # kept in the rows' sorted order
+        patterns, counts = np.unique(incl, axis=0, return_counts=True)
+        order = np.argsort(-counts, kind="stable")
+        want = [("".join("1" if b else "0" for b in patterns[i]), counts[i] / kept) for i in order]
+        assert out.top_models == want
 
 
 def test_chain_never_keeps_both_copies_of_a_duplicated_column():
@@ -384,6 +388,16 @@ def test_memory_stays_flat_over_iterations():
 
     growth = peak(4000) - peak(1000)
     assert growth < 512 * 1024, growth
+
+
+def test_refused_rebuild_names_the_stage_and_iteration(monkeypatch):
+    # the move and the rebuild apply one rank rule; should the rebuild ever
+    # refuse a model the move accepted, the chain stops and says where
+    hold = SuffStatsCache.chol
+    monkeypatch.setattr(SuffStatsCache, "chol", lambda self, M: None if M.p_k else hold(self, M))
+    data = _dataset()
+    with pytest.raises(np.linalg.LinAlgError, match=r"\(model move, iteration \d+\)$"):
+        run_chain(data, _prior(data), ChainConfig(n_iter=50, seed=0))
 
 
 def test_constant_latent_vector_names_the_stage_and_iteration(monkeypatch):

@@ -182,15 +182,19 @@ def _scalar_schedule(log_tau, it, accepted):
 @pytest.mark.parametrize(
     "schedule, target, start, accept_draw",
     [
-        (_array_schedule, 0.57, lambda: np.zeros(40), lambda rng: rng.random(40) < 0.6),
+        *(
+            (_array_schedule, 0.57, lambda: np.zeros(40), lambda rng, s=share: rng.random(40) < s)
+            for share in (0.0, 0.57, 0.6, 1.0)
+        ),
         (_scalar_schedule, 0.234, lambda: 0.0, lambda rng: bool(rng.random() < 0.3)),
     ],
-    ids=["array", "scalar"],
+    ids=["array-share0", "array-share0.57", "array", "array-share1", "scalar"],
 )
 def test_scale_adapter_matches_the_schedules_it_replaced(schedule, target, start, accept_draw):
     # The sweep's step sds and the g walk's proposal sd drive the random
-    # stream, so the shared adapter must keep both former schedules bit for
-    # bit, through burn-in (120 updates) and frozen after it.
+    # stream, so the shared adapter, which reads its increments off a
+    # two-entry table, must keep both former schedules bit for bit, through
+    # burn-in (120 updates) and frozen after it.
     rng = np.random.default_rng(17)
     adapter, old = ScaleAdapter(start(), target), start()
     for it in range(1, 201):

@@ -135,7 +135,69 @@ def test_cache_matches_direct_suff_stats():
                 assert cache.held is N
 
 
-def test_neighbour_rank_verdicts_match_rank_ok():
+def test_held_columns_match_a_from_scratch_reference():
+    # a random walk of adds, deletes and swaps through the null model: the
+    # held-column state and the neighbours' ess agree with sums over X_k
+    # formed from scratch, and the linear predictor with the full-p product
+    design, _ = _toy(n=40, p=7, seed=21)
+    Xc = design.Xc
+    rng = np.random.default_rng(22)
+    cache = SuffStatsCache(design)
+
+    def ess_of(M, z):
+        s = suff_stats(z, M, design)
+        return s.r2 * s.tss
+
+    M, visited_null = ModelIndicator.null(7), 0
+    for t in range(60):
+        if t % 3 == 0:
+            z = rng.normal(size=40) + Xc[:, 0]
+            cache.set_z(z)
+        if M.p_k == 0 or (M.p_k < 7 and rng.random() < 0.4):
+            drop, add = None, int(rng.choice(M.excluded))
+        elif rng.random() < 0.5 or M.p_k == 7:
+            drop, add = int(rng.choice(M.indices)), None
+        else:
+            drop, add = int(rng.choice(M.indices)), int(rng.choice(M.excluded))
+        M = M.with_move(drop, add)
+        assert cache.chol(M) is not None
+        visited_null += M.p_k == 0
+        Xk = Xc[:, M.indices]
+        xtz = Xk.T @ z
+        np.testing.assert_allclose(cache.xtz_k, xtz, rtol=1e-12)
+        np.testing.assert_allclose(cache.bhat, np.linalg.solve(Xk.T @ Xk, xtz), rtol=1e-12)
+        np.testing.assert_allclose(cache.ess, ess_of(M, z), rtol=1e-12, atol=1e-12 * cache.tss)
+        for j in [None, *M.indices.tolist()]:
+            for i in [None, *M.excluded.tolist()]:
+                want = ess_of(M.with_move(j, i), z)
+                np.testing.assert_allclose(
+                    cache.move_ess(j, i), want, rtol=1e-12, atol=1e-12 * cache.tss
+                )
+        beta_full = np.zeros(7)
+        beta_full[M.indices] = beta_k = rng.normal(size=M.p_k)
+        np.testing.assert_allclose(cache.linpred(0.7, beta_k), 0.7 + Xc @ beta_full, rtol=1e-12)
+    assert visited_null >= 2
+
+
+def _abc_design(eps, n=50, seed=5):
+    # a, b, c = a + b + eps r, an independent e, and f = a + 0.03 s, which
+    # makes a held {a, f} strongly collinear but full rank
+    rng = np.random.default_rng(seed)
+    a, b, r, e, s = rng.normal(size=(5, n))
+    return np.column_stack([a, b, a + b + eps * r, e, a + 0.03 * s])
+
+
+def test_neighbour_rank_verdicts_match_rank_ok(monkeypatch):
+    # the move's rule for a neighbour is the rebuild's (cholesky_with_tol,
+    # through rank_ok): every column's 1 - R^2 on the others above RANK_RTOL
+    exact = []
+    held_check = SuffStatsCache._held_columns_stay_full_rank
+
+    def spy(self, *args):
+        exact.append(held_check(self, *args))
+        return exact[-1]
+
+    monkeypatch.setattr(SuffStatsCache, "_held_columns_stay_full_rank", spy)
     rng = np.random.default_rng(12)
     X_dup = rng.normal(size=(30, 6))
     X_dup[:, 5] = X_dup[:, 2]
@@ -150,6 +212,12 @@ def test_neighbour_rank_verdicts_match_rank_ok():
         (X_dup, ([], [2], [5], [0, 2, 4], [0, 1, 3, 4, 5])),
         (X_short, ([0, 1, 2, 3, 4], [1, 3, 5, 7, 8], [0, 1, 2, 3, 4, 5])),
         (X_mixed, ([], [0], [1], [0, 2], [1, 3], [0, 1, 2, 4])),
+        # around the threshold, which {a, b, c} crosses near eps = 1.5e-5:
+        # held {a, c} adds b, held {a, c, e} swaps e for b
+        *(
+            (_abc_design(eps), ([0, 2], [0, 2, 3], [0, 2, 4], [1, 3], [0, 1, 4], [0, 4]))
+            for eps in (3e-6, 1.1e-5, 1.2e-5, 3e-5, 1e-3)
+        ),
     )
     verdicts = set()
     for X, helds in cases:
@@ -171,6 +239,11 @@ def test_neighbour_rank_verdicts_match_rank_ok():
                     assert cache.held is (N if want else H)
                     verdicts.add(want)
     assert verdicts == {True, False}
+    # the neighbours near the threshold were decided column by column, both ways
+    assert set(exact) == {True, False}
+    abc = ModelIndicator.from_indices(5, [0, 1, 2])
+    for eps, want in ((3e-6, False), (1.1e-5, False), (1.2e-5, False), (3e-5, True)):
+        assert rank_ok(abc, center_design(_abc_design(eps)).Xc) == want, eps
     Xc = center_design(X_mixed).Xc
     assert rank_ok(ModelIndicator.from_indices(5, [0, 1]), Xc)
     assert not rank_ok(ModelIndicator.from_indices(5, [2, 3]), Xc)
