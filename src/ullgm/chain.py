@@ -36,10 +36,6 @@ class ChainConfig:
     burn_in: int | None = None  # defaults to n_iter // 2
     thin: int = 1
     seed: int = 0
-    # Pin sigma2 (no draw). Beta's prior variance is g sigma2, so a tiny
-    # value also pins beta near 0: at g = n, sigma2 = 1e-8 the chain is
-    # close to intercept-only, not a GLM.
-    fixed_sigma2: float | None = None
 
     def __post_init__(self) -> None:
         if self.n_iter < 1:
@@ -49,8 +45,6 @@ class ChainConfig:
         b = self.resolved_burn_in()
         if not (0 <= b < self.n_iter):
             raise ValueError(f"burn_in must lie in [0, n_iter), got {b}")
-        if self.fixed_sigma2 is not None and not (self.fixed_sigma2 > 0):
-            raise ValueError("fixed_sigma2 must be positive")
 
     def resolved_burn_in(self) -> int:
         return self.n_iter // 2 if self.burn_in is None else self.burn_in
@@ -145,14 +139,13 @@ class ChainState:
     adapt_g: ScaleAdapter  # log proposal variance of the g walk
     size_logp: tuple[float, ...]  # log prior of one model, by size
     hyper: bool  # g carries the hyper-g/n prior
-    fixed_sigma2: float | None  # pinned sigma2, or None when it is drawn
     t: int = 0  # iterations done
     n_accept_model: int = 0
     n_accept_g: int = 0
     sum_accept_latent: float = 0.0  # per-iteration accepted fraction of the sweep
 
 
-def init_chain(data: Dataset, prior: PriorConfig, config: ChainConfig) -> ChainState:
+def init_chain(data: Dataset, prior: PriorConfig) -> ChainState:
     """Deterministic starting state: null model, z from a data transform."""
     y = data.y
     fam = data.family.name
@@ -162,7 +155,6 @@ def init_chain(data: Dataset, prior: PriorConfig, config: ChainConfig) -> ChainS
         z0 = np.log(y + 0.5) - np.log(data.trials + 1.0 - (y + 0.5))
     else:  # nbl
         z0 = np.log(float(data.family.r)) - np.log(y + 0.5)
-    sigma2 = config.fixed_sigma2 if config.fixed_sigma2 is not None else 1.0
     gp = prior.gprior
     hyper = isinstance(gp, HyperGOverN)
     g = hyper_g_over_n_ppf(0.5, gp.a, data.n) if hyper else gp.g0
@@ -174,7 +166,7 @@ def init_chain(data: Dataset, prior: PriorConfig, config: ChainConfig) -> ChainS
         z=z0,
         lik=loglik_value_grad(data.family, y, z0, data.trials),
         alpha=float(z0.mean()),
-        sigma2=float(sigma2),
+        sigma2=1.0,
         g=float(g),
         beta_full=np.zeros(data.p),
         cache=cache,
@@ -182,7 +174,6 @@ def init_chain(data: Dataset, prior: PriorConfig, config: ChainConfig) -> ChainS
         adapt_g=ScaleAdapter(0.0, G_TARGET_ACC),
         size_logp=size_log_prior(data.p, prior.model_size),
         hyper=hyper,
-        fixed_sigma2=config.fixed_sigma2,
     )
 
 
@@ -199,11 +190,9 @@ def step(state: ChainState, data: Dataset, prior: PriorConfig, rng: np.random.Ge
 
     Because step 1 works with the z-marginal rather than the full
     conditional given beta, permuting it past the parameter draws would
-    change the stationary law; resist the temptation. With sigma2 pinned,
-    steps 1 and 2 condition on it instead of integrating it out, and step 3
-    is skipped.
+    change the stationary law; resist the temptation.
     """
-    n, cache, fixed_sigma2 = data.n, state.cache, state.fixed_sigma2
+    n, cache = data.n, state.cache
     try:
         cache.set_z(state.z)
     except DegenerateZ as exc:
@@ -211,7 +200,7 @@ def step(state: ChainState, data: Dataset, prior: PriorConfig, rng: np.random.Ge
     g = state.g
     M, accepted = model_mh_step(
         state.M,
-        lambda drop, add: cache.move_log_marginal(drop, add, g, fixed_sigma2),
+        lambda drop, add: cache.move_log_marginal(drop, add, g),
         state.size_logp,
         rng,
     )
@@ -224,14 +213,14 @@ def step(state: ChainState, data: Dataset, prior: PriorConfig, rng: np.random.Ge
     if state.hyper:
         g, g_accepted = mh_update_g(
             g,
-            lambda gi: cache.log_marginal(M, gi, fixed_sigma2),
+            lambda gi: cache.log_marginal(M, gi),
             n,
             prior.gprior.a,
             state.adapt_g,
             rng,
         )
         state.n_accept_g += g_accepted
-    sigma2 = sample_sigma2(s, n, g, rng) if fixed_sigma2 is None else fixed_sigma2
+    sigma2 = sample_sigma2(s, n, g, rng)
     alpha = sample_alpha(s, n, sigma2, rng)
     beta_full = state.beta_full
     beta_full[:] = 0.0
@@ -287,7 +276,7 @@ def summarize(
 def run_chain(data: Dataset, prior: PriorConfig, config: ChainConfig) -> ChainOutput:
     validate_dataset(data)
     rng = np.random.default_rng(config.seed)
-    state = init_chain(data, prior, config)
+    state = init_chain(data, prior)
 
     burn_in = config.resolved_burn_in()
     n_keep = len(range(burn_in, config.n_iter, config.thin))

@@ -543,10 +543,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        for flag in ("chains", "r", "splits", "replicates"):  # counts, on any subcommand
+        lowest = {"chains": 1, "r": 1, "splits": 1, "replicates": 1, "seed": 0}
+        for flag, least in lowest.items():  # counts and the seed, on any subcommand
             value = getattr(args, flag, None)
-            if value is not None and value < 1:
-                raise CliError(EXIT_VALIDATION, f"--{flag} must be >= 1, got {value}")
+            if value is not None and value < least:
+                raise CliError(EXIT_VALIDATION, f"--{flag} must be >= {least}, got {value}")
         return args.func(args)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)

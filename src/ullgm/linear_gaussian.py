@@ -71,18 +71,12 @@ def suff_stats(z: np.ndarray, M: ModelIndicator, design: CenteredDesign) -> Mode
     return ModelSuffStats(zbar, tss, r2)
 
 
-def log_marginal(
-    r2: float, tss: float, p_k: int, n: int, g: float, sigma2: float | None = None
-) -> float:
+def log_marginal(r2: float, tss: float, p_k: int, n: int, g: float) -> float:
     """log p(z | M, g) up to a model-independent constant, r2 in [0, R2_CEIL].
 
     ((n-1-p_k)/2) log(1+g) - ((n-1)/2) log[(1 + g (1 - r2)) tss], with
     sigma2 integrated out; the null model reduces to -((n-1)/2) log tss.
-    Given sigma2 instead, log p(z | M, g, sigma2) is
-    -(p_k/2) log(1+g) - tss (1 - delta r2) / (2 sigma2), delta = g/(1+g).
     """
-    if sigma2 is not None:
-        return -0.5 * p_k * np.log1p(g) - 0.5 * tss * (1.0 - g / (1.0 + g) * r2) / sigma2
     return 0.5 * (n - 1 - p_k) * np.log1p(g) - 0.5 * (n - 1) * (
         np.log1p(g * (1.0 - r2)) + np.log(tss)
     )
@@ -240,17 +234,14 @@ class SuffStatsCache:
             diag = diag - self.Ainv[:, a] * r
         return bool(np.all(self._rtol_xtx_k * (diag + q * q / d) < 1.0))
 
-    def move_log_marginal(
-        self, drop: int | None, add: int | None, g: float, sigma2: float | None = None
-    ) -> float:
-        """log p(z | M', g), or given sigma2 log p(z | M', g, sigma2), of the
-        neighbour M' that move_ess describes; -inf when M' is rank-deficient.
-        This is model_mh_step's target."""
+    def move_log_marginal(self, drop: int | None, add: int | None, g: float) -> float:
+        """log p(z | M', g) of the neighbour M' that move_ess describes; -inf
+        when M' is rank-deficient. This is model_mh_step's target."""
         ess = self.move_ess(drop, add)
         if ess is None:
             return -np.inf
         p_new = self.held.p_k + (add is not None) - (drop is not None)
-        return log_marginal(self._r2(ess), self.tss, p_new, self.n, g, sigma2)
+        return log_marginal(self._r2(ess), self.tss, p_new, self.n, g)
 
     def _r2(self, ess: float) -> float:
         return float(min(max(ess / self.tss, 0.0), R2_CEIL))
@@ -285,8 +276,8 @@ class SuffStatsCache:
     def r2(self, M: ModelIndicator) -> float:
         return self._r2_and_w(M)[0]
 
-    def log_marginal(self, M: ModelIndicator, g: float, sigma2: float | None = None) -> float:
-        return log_marginal(self.r2(M), self.tss, M.p_k, self.n, g, sigma2)
+    def log_marginal(self, M: ModelIndicator, g: float) -> float:
+        return log_marginal(self.r2(M), self.tss, M.p_k, self.n, g)
 
     def sample_beta(self, M: ModelIndicator, sigma2: float, g: float, rng) -> np.ndarray:
         """beta_k | z, sigma2, M, g ~ N(delta bhat, delta sigma2 (X_k'X_k)^{-1}),

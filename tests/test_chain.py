@@ -63,7 +63,7 @@ def test_config_validation():
 def test_init_chain_state():
     data = _dataset()
     prior = _prior(data)
-    state = init_chain(data, prior, ChainConfig(n_iter=10))
+    state = init_chain(data, prior)
     assert state.M.p_k == 0
     assert state.cache.held is state.M
     np.testing.assert_allclose(state.z, np.log(data.y + 0.5))
@@ -71,15 +71,15 @@ def test_init_chain_state():
     np.testing.assert_allclose(state.alpha, state.z.mean())
     assert state.g == data.n
     np.testing.assert_array_equal(state.beta_full, np.zeros(data.p))
-    assert not state.hyper and state.fixed_sigma2 is None
+    assert not state.hyper
 
     datab = _dataset(family=BIL, trials=12)
-    sb = init_chain(datab, _prior(datab), ChainConfig(n_iter=10))
+    sb = init_chain(datab, _prior(datab))
     want = np.log((datab.y + 0.5) / (datab.trials - datab.y + 0.5))
     np.testing.assert_allclose(sb.z, want)
 
     datan = _dataset(family=nbl(2))
-    sn = init_chain(datan, _prior(datan), ChainConfig(n_iter=10))
+    sn = init_chain(datan, _prior(datan))
     np.testing.assert_allclose(sn.z, np.log(2.0) - np.log(datan.y + 0.5))
 
 
@@ -91,7 +91,7 @@ def test_step_loop_reproduces_run_chain():
     cfg = ChainConfig(n_iter=120, burn_in=60, thin=3, seed=8)
     out = run_chain(data, prior, cfg)
 
-    state = init_chain(data, prior, cfg)
+    state = init_chain(data, prior)
     rng = np.random.default_rng(cfg.seed)
     alpha, g, beta = [], [], []
     for t in range(cfg.n_iter):
@@ -164,13 +164,6 @@ def test_model_size_must_stay_below_p():
     data = _dataset(n=40, p=4)
     with pytest.raises(ValueError, match="expected model size"):
         run_chain(data, _prior(data, m=4.0), ChainConfig(n_iter=10))
-
-
-def test_fixed_sigma2_is_pinned():
-    data = _dataset(n=40, p=4)
-    cfg = ChainConfig(n_iter=300, burn_in=100, seed=5, fixed_sigma2=1e-6)
-    out = run_chain(data, _prior(data), cfg)
-    np.testing.assert_array_equal(out.draws.sigma2, np.full(out.draws.n_kept, 1e-6))
 
 
 def test_hyper_g_moves_and_stays_positive():

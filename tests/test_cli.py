@@ -216,10 +216,11 @@ def test_fit_validation_exit_codes(tmp_path):
         ["cv", "--input", "{data}", "--outcome", "count", "--splits", "1", "--test-share", "0.005"],
         ["fit", "--input", "{data}", "--outcome", "count", "--msize", "0"],
         ["fit", "--input", "{data}", "--outcome", "count", "--msize", "4"],  # p = 4
+        ["fit", "--input", "{data}", "--outcome", "count", "--seed", "-1"],
     ],
     ids=[
         "chains", "r", "splits", "p", "replicates", "n", "trials-count", "test-share",
-        "test-share-1", "test-share-no-row", "msize-0", "msize-p",
+        "test-share-1", "test-share-no-row", "msize-0", "msize-p", "seed",
     ],
 )
 def test_bad_counts_are_validation_errors(tmp_path, capsys, argv):
@@ -229,8 +230,9 @@ def test_bad_counts_are_validation_errors(tmp_path, capsys, argv):
     assert main(argv) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-    if "--msize" in argv:
-        assert err.startswith("error: --msize")
+    for flag in ("--msize", "--seed"):
+        if flag in argv:
+            assert err.startswith(f"error: {flag}")
 
 
 def test_process_exit_status_follows_main(tmp_path):

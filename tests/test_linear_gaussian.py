@@ -1,13 +1,9 @@
 """Collapsed marginals and conjugate conditionals for the Gaussian layer."""
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
-from scipy.stats import multivariate_normal
 
 from ullgm.core import DegenerateZ, ModelIndicator, center_design, rank_ok
 from ullgm.linear_gaussian import (
@@ -247,53 +243,6 @@ def test_neighbour_rank_verdicts_match_rank_ok(monkeypatch):
     Xc = center_design(X_mixed).Xc
     assert rank_ok(ModelIndicator.from_indices(5, [0, 1]), Xc)
     assert not rank_ok(ModelIndicator.from_indices(5, [2, 3]), Xc)
-
-
-def test_pinned_sigma2_marginal_matches_alpha_integral():
-    # given sigma2 = s0, with beta integrated out, z | M, g, alpha is
-    # N(alpha 1, s0 (I + g P_k)); integrating the flat alpha out numerically
-    # gives p(z | M, g, s0), whose differences between models the cache's
-    # pinned marginals must reproduce, from the held model and by one move
-    rng = np.random.default_rng(7)
-    n, p, s0 = 12, 3, 0.3
-    X = rng.normal(size=(n, p))
-    design = center_design(X)
-    z = 0.4 + X @ np.array([0.5, 0.0, -0.3]) + rng.normal(scale=np.sqrt(s0), size=n)
-    models = [ModelIndicator(bits) for bits in itertools.product((False, True), repeat=p)]
-    zbar, sd = z.mean(), np.sqrt(s0 / n)  # alpha's integrand is N(zbar, s0 / n)-shaped
-
-    def exact(M, g):
-        Xk = design.Xc[:, M.indices]
-        P = Xk @ np.linalg.solve(Xk.T @ Xk, Xk.T)
-        dist = multivariate_normal(np.zeros(n), s0 * (np.eye(n) + g * P))
-        shift = dist.logpdf(z - zbar)
-        val, _ = quad(
-            lambda a: np.exp(dist.logpdf(z - a) - shift),
-            zbar - 40 * sd,
-            zbar + 40 * sd,
-            epsabs=0.0,
-            epsrel=1e-13,
-        )
-        return shift + np.log(val)
-
-    cache = SuffStatsCache(design)
-    cache.set_z(z)
-    for g in (12.0, 40.0):
-        want = {M.key: exact(M, g) for M in models}
-        got = {M.key: cache.log_marginal(M, g, s0) for M in models}
-        for M in models:
-            np.testing.assert_allclose(
-                got[M.key] - got[models[0].key], want[M.key] - want[models[0].key], atol=1e-8
-            )
-        for H in models:
-            cache.chol(H)
-            for drop in [None, *H.indices.tolist()]:
-                for add in [None, *H.excluded.tolist()]:
-                    N = H.with_move(drop, add)
-                    diff = cache.move_log_marginal(drop, add, g, s0) - cache.move_log_marginal(
-                        None, None, g, s0
-                    )
-                    np.testing.assert_allclose(diff, want[N.key] - want[H.key], atol=1e-8)
 
 
 def test_cache_refreshes_after_set_z():

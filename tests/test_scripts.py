@@ -23,9 +23,13 @@ def _load(name):
             "run_sim_grid",
             ["--n", "60", "--p", "10", "--replicates", "1", "--iters", "60", "--burnin", "30"],
         ),
-        (
-            "compare_predictive",
-            ["--n", "60", "--p", "10", "--splits", "1", "--iters", "60", "--burnin", "30"],
+        *(
+            (
+                "compare_predictive",
+                ["--family", family, "--n", "60", "--p", "10", "--splits", "1",
+                 "--iters", "60", "--burnin", "30"],
+            )
+            for family in ("pln", "bil", "nbl")
         ),
     ],
 )
