@@ -68,17 +68,22 @@ class ScalarSummary:
 
 @dataclass
 class DrawStore:
-    """Kept draws, one row per recorded iteration."""
+    """Kept draws, one row per recorded iteration. A draw's model is the
+    nonzero pattern of its beta row; `included` reads it off."""
 
     alpha: np.ndarray
     sigma2: np.ndarray
     g: np.ndarray
-    included: np.ndarray  # (S, p) bool
     beta: np.ndarray  # (S, p), zeros outside the model
 
     @property
     def n_kept(self) -> int:
         return self.alpha.shape[0]
+
+    @property
+    def included(self) -> np.ndarray:
+        """(S, p) bool, a fresh array on each read."""
+        return self.beta != 0.0
 
     @staticmethod
     def concat(stores: list["DrawStore"]) -> "DrawStore":
@@ -86,7 +91,6 @@ class DrawStore:
             alpha=np.concatenate([s.alpha for s in stores]),
             sigma2=np.concatenate([s.sigma2 for s in stores]),
             g=np.concatenate([s.g for s in stores]),
-            included=np.concatenate([s.included for s in stores], axis=0),
             beta=np.concatenate([s.beta for s in stores]),
         )
 
@@ -99,7 +103,6 @@ class ChainOutput:
     alpha: ScalarSummary
     sigma2: ScalarSummary
     g: ScalarSummary
-    model_size_counts: np.ndarray  # counts of kept draws by model size
     top_models: list[tuple[str, float]]  # (inclusion bits, visit frequency)
     draws: DrawStore
     col_means: np.ndarray
@@ -116,11 +119,6 @@ class ChainOutput:
     def n_kept(self) -> int:
         return self.draws.n_kept
 
-    def mean_model_size(self) -> float:
-        sizes = np.arange(self.model_size_counts.shape[0])
-        total = self.model_size_counts.sum()
-        return float((sizes * self.model_size_counts).sum() / total)
-
 
 @dataclass(eq=False)
 class ChainState:
@@ -133,7 +131,7 @@ class ChainState:
     alpha: float
     sigma2: float
     g: float
-    beta_full: np.ndarray  # length p, zeros outside M
+    beta_k: np.ndarray  # coefficients of the held model's columns, in M.indices order
     cache: SuffStatsCache
     adapt_z: ScaleAdapter  # log step sds of the latent sweep
     adapt_g: ScaleAdapter  # log proposal variance of the g walk
@@ -168,7 +166,7 @@ def init_chain(data: Dataset, prior: PriorConfig) -> ChainState:
         alpha=float(z0.mean()),
         sigma2=1.0,
         g=float(g),
-        beta_full=np.zeros(data.p),
+        beta_k=np.zeros(0),
         cache=cache,
         adapt_z=ScaleAdapter(np.zeros(data.n), BARKER_TARGET_ACC),
         adapt_g=ScaleAdapter(0.0, G_TARGET_ACC),
@@ -222,16 +220,14 @@ def step(state: ChainState, data: Dataset, prior: PriorConfig, rng: np.random.Ge
         state.n_accept_g += g_accepted
     sigma2 = sample_sigma2(s, n, g, rng)
     alpha = sample_alpha(s, n, sigma2, rng)
-    beta_full = state.beta_full
-    beta_full[:] = 0.0
     beta_k = cache.sample_beta(M, sigma2, g, rng)
-    beta_full[M.indices] = beta_k
     linpred = cache.linpred(alpha, beta_k)
     z, lat_accepted, state.lik = update_all_latents(
         state.z, state.lik, data.y, data.trials, linpred, sigma2, data.family, state.adapt_z, rng
     )
     state.sum_accept_latent += np.count_nonzero(lat_accepted) / n
     state.M, state.z, state.alpha, state.sigma2, state.g = M, z, alpha, sigma2, g
+    state.beta_k = beta_k
     state.t += 1
 
 
@@ -244,16 +240,15 @@ def summarize(
     latent_step: np.ndarray | None = None,
     g_step_sd: float = np.nan,
 ) -> ChainOutput:
-    S, p = draws.included.shape
-    pip = draws.included.mean(axis=0)
-    sizes = draws.included.sum(axis=1)
-    size_counts = np.bincount(sizes, minlength=p + 1)
+    included = draws.included
+    S = included.shape[0]
+    pip = included.mean(axis=0)
     # One byte string per row: the packed rows sort as the boolean rows do.
-    packed = np.packbits(draws.included, axis=1)
+    packed = np.packbits(included, axis=1)
     keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
     _, first, counts = np.unique(keys, return_index=True, return_counts=True)
     order = np.argsort(-counts, kind="stable")
-    top = [(inclusion_bits(draws.included[first[i]]), float(counts[i]) / S) for i in order]
+    top = [(inclusion_bits(included[first[i]]), float(counts[i]) / S) for i in order]
     return ChainOutput(
         pip=pip,
         beta_mean=draws.beta.mean(axis=0),
@@ -261,7 +256,6 @@ def summarize(
         alpha=ScalarSummary.from_draws(draws.alpha),
         sigma2=ScalarSummary.from_draws(draws.sigma2),
         g=ScalarSummary.from_draws(draws.g),
-        model_size_counts=size_counts,
         top_models=top,
         draws=draws,
         col_means=np.asarray(col_means, dtype=np.float64),
@@ -284,8 +278,7 @@ def run_chain(data: Dataset, prior: PriorConfig, config: ChainConfig) -> ChainOu
         alpha=np.empty(n_keep),
         sigma2=np.empty(n_keep),
         g=np.empty(n_keep),
-        included=np.empty((n_keep, data.p), dtype=bool),
-        beta=np.empty((n_keep, data.p)),
+        beta=np.zeros((n_keep, data.p)),
     )
     kept = 0
     for t in range(config.n_iter):
@@ -303,8 +296,7 @@ def run_chain(data: Dataset, prior: PriorConfig, config: ChainConfig) -> ChainOu
             store.alpha[kept] = alpha
             store.sigma2[kept] = sigma2
             store.g[kept] = g
-            store.included[kept] = state.M.included
-            store.beta[kept] = state.beta_full
+            store.beta[kept, state.M.indices] = state.beta_k
             kept += 1
 
     hyper = state.hyper

@@ -342,15 +342,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except ValueError as e:
         raise CliError(EXIT_VALIDATION, str(e)) from None
 
-    data0, truth0, _ = gen_dataset(sim, np.random.default_rng((args.seed, 0)))
+    def generate(r: int):
+        try:
+            return gen_dataset(sim, np.random.default_rng((args.seed, r)))
+        except ValueError as e:  # numpy's samplers refuse an overflowing rate or probability
+            raise CliError(EXIT_VALIDATION, f"cannot simulate replicate {r}: {e}") from None
+
+    data0, truth0, _ = generate(0)
     rows = []
     for r in range(args.replicates if args.run else 0):
         tr0 = time.monotonic()
-        data, truth, _ = (
-            (data0, truth0, None)
-            if r == 0
-            else gen_dataset(sim, np.random.default_rng((args.seed, r)))
-        )
+        data, truth, _ = (data0, truth0, None) if r == 0 else generate(r)
         rep = metrics(_run(args, data, args.seed + r), truth)
         rows.append([str(r), *astuple(rep), round(time.monotonic() - tr0, 3)])
 
@@ -408,7 +410,7 @@ def _read_fit(fit_dir: str) -> tuple[FamilyTag, list[str], np.ndarray, DrawStore
             raise CliError(
                 EXIT_IO, f"{path} row {i + 2}, column {name!r}: must be {need}, got {float(col[i])!r}"
             )
-    draws = DrawStore(alpha=alpha, sigma2=sigma2, g=g, included=beta != 0.0, beta=beta)
+    draws = DrawStore(alpha=alpha, sigma2=sigma2, g=g, beta=beta)
     return family, names, mean, draws
 
 

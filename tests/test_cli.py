@@ -217,10 +217,14 @@ def test_fit_validation_exit_codes(tmp_path):
         ["fit", "--input", "{data}", "--outcome", "count", "--msize", "0"],
         ["fit", "--input", "{data}", "--outcome", "count", "--msize", "4"],  # p = 4
         ["fit", "--input", "{data}", "--outcome", "count", "--seed", "-1"],
+        ["simulate", "--n", "40", "--p", "10", "--sigma2", "inf"],
+        ["simulate", "--n", "40", "--p", "10", "--sigma2", "800"],  # exp(z) overflows poisson
+        ["simulate", "--n", "40", "--p", "10", "--sigma2", "800", "--family", "nbl", "--r", "2"],
     ],
     ids=[
         "chains", "r", "splits", "p", "replicates", "n", "trials-count", "test-share",
         "test-share-1", "test-share-no-row", "msize-0", "msize-p", "seed",
+        "sigma2-inf", "sigma2-overflow", "sigma2-overflow-nbl",
     ],
 )
 def test_bad_counts_are_validation_errors(tmp_path, capsys, argv):
@@ -350,6 +354,9 @@ def test_simulate_glm_records_zero_sigma2(tmp_path):
     assert code == EXIT_OK
     man = json.loads((out / "manifest.json").read_text())
     assert man["config"]["dgp"] == "glm"
+    with open(out / "truth.csv", newline="") as fh:
+        rows = {row["name"]: row["value"] for row in csv.DictReader(fh)}
+    assert float(rows["sigma2"]) == 0.0
 
 
 def test_predict_and_cv(tmp_path, capsys):

@@ -169,9 +169,9 @@ def test_held_columns_match_a_from_scratch_reference():
                 np.testing.assert_allclose(
                     cache.move_ess(j, i), want, rtol=1e-12, atol=1e-12 * cache.tss
                 )
-        beta_full = np.zeros(7)
-        beta_full[M.indices] = beta_k = rng.normal(size=M.p_k)
-        np.testing.assert_allclose(cache.linpred(0.7, beta_k), 0.7 + Xc @ beta_full, rtol=1e-12)
+        beta = np.zeros(7)
+        beta[M.indices] = beta_k = rng.normal(size=M.p_k)
+        np.testing.assert_allclose(cache.linpred(0.7, beta_k), 0.7 + Xc @ beta, rtol=1e-12)
     assert visited_null >= 2
 
 

@@ -118,7 +118,6 @@ def test_far_tail_hits_floor_and_flags():
         alpha=np.array([-5.0]),
         sigma2=np.array([1e-4]),
         g=np.array([10.0]),
-        included=np.zeros((1, 2), dtype=bool),
         beta=np.zeros((1, 2)),
     )
     from ullgm.core import Dataset
@@ -133,12 +132,10 @@ def test_far_tail_hits_floor_and_flags():
 def test_lps_averages_over_draws_before_logging():
     rng = np.random.default_rng(1)
     S, p = 40, 2
-    incl = np.ones((S, p), dtype=bool)
     draws = DrawStore(
         alpha=rng.normal(0.5, 0.2, size=S),
         sigma2=np.full(S, 0.3),
         g=np.full(S, 20.0),
-        included=incl,
         beta=rng.normal(0.0, 0.1, size=(S, p)),
     )
     from ullgm.core import Dataset
@@ -163,7 +160,6 @@ def test_single_draw_lps_is_minus_log_pmf():
         alpha=np.array([0.4]),
         sigma2=np.array([0.2]),
         g=np.array([5.0]),
-        included=np.ones((1, 1), dtype=bool),
         beta=np.array([[0.3]]),
     )
     from ullgm.core import Dataset
@@ -194,7 +190,6 @@ def _random_draws(rng, S, p):
         alpha=rng.normal(0.5, 0.3, size=S),
         sigma2=rng.uniform(0.05, 1.0, size=S),
         g=np.full(S, 50.0),
-        included=np.ones((S, p), dtype=bool),
         beta=rng.normal(0.0, 0.3, size=(S, p)),
     )
 
@@ -316,7 +311,6 @@ def test_impossible_and_overflowing_rows_hit_the_floor():
         alpha=np.full(3, 900.0),
         sigma2=np.full(3, 0.01),
         g=np.full(3, 10.0),
-        included=np.zeros((3, 1), dtype=bool),
         beta=np.zeros((3, 1)),
     )
     holdout = Dataset(y=[1.0], X=np.zeros((1, 1)), family=PLN)
@@ -358,7 +352,6 @@ def _chunk_case(rng, S):
         alpha=rng.normal(0.0, 0.05, size=S),
         sigma2=np.full(S, 0.5),
         g=np.full(S, 50.0),
-        included=np.ones((S, 1), dtype=bool),
         beta=rng.normal(1.0, 0.01, size=(S, 1)),
     )
     x = np.array([0.0, 10.0, np.log(3.0), -30.0, 2.0, 0.0, 1.0])

@@ -133,7 +133,6 @@ def _fake_output(incl, g_mean=50.0, sigma2_mean=0.2):
         alpha=rng.normal(size=kept),
         sigma2=np.full(kept, sigma2_mean),
         g=np.full(kept, g_mean),
-        included=incl,
         beta=np.where(incl, 0.5, 0.0),
     )
     return summarize(draws, np.zeros(p), 0.3, np.nan, 0.5)
