@@ -25,7 +25,7 @@ from ullgm import (
     PriorConfig,
     lps,
     nbl,
-    run_chain,
+    run_chains,
 )
 from ullgm.likelihoods import log_pmf, loglik_value_grad
 from ullgm.simulation import SimConfig, gen_dataset
@@ -83,7 +83,7 @@ def main(argv=None):
     for s in range(args.splits):
         perm = np.random.default_rng((args.seed, s)).permutation(args.n)
         train, test = subset(data, perm[n_test:]), subset(data, perm[:n_test])
-        out = run_chain(train, prior, chain)
+        out = run_chains(train, prior, chain, 1)
         full = lps(test, out.draws, out.col_means)
         glm, fit = glm_lps(train, test)
         converged += fit.success

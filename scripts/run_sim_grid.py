@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from ullgm import BIL, ChainConfig, FixedG, PLN, PriorConfig, nbl, run_chain
+from ullgm import BIL, ChainConfig, FixedG, PLN, PriorConfig, nbl, run_chains
 from ullgm.simulation import SimConfig, gen_dataset, metrics
 
 CELLS = (
@@ -39,7 +39,7 @@ def run_cell(family_name, dgp, args):
     for r in range(args.replicates):
         data, truth, _ = gen_dataset(cfg, np.random.default_rng((args.seed, r)))
         chain = ChainConfig(n_iter=args.iters, burn_in=args.burnin, seed=args.seed + r)
-        out = run_chain(data, prior, chain)
+        out = run_chains(data, prior, chain, 1)
         rep = metrics(out, truth)
         rows.append(
             (rep.model_size, rep.frac_true, rep.brier, rep.fnr, rep.fpr,

@@ -6,7 +6,7 @@ partially collapsed Gibbs sampler that mixes over coefficients, the latent
 vector, the g hyperparameter, and the 2^p space of covariate subsets.
 """
 
-from .chain import ChainConfig, ChainOutput, DrawStore, run_chain, run_chains, summarize
+from .chain import ChainConfig, ChainOutput, DrawStore, run_chains, summarize
 from .core import (
     BIL,
     CenteredDesign,
@@ -56,7 +56,6 @@ __all__ = [
     "nbl",
     "per_point_log_predictive",
     "rank_ok",
-    "run_chain",
     "run_chains",
     "summarize",
     "validate_dataset",

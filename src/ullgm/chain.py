@@ -3,6 +3,8 @@
 One chain is a ChainState from init_chain advanced by step, once per
 iteration; run_chain adds the burn-in freeze of the adapters, the finite
 checks and the recording of kept draws. The update order lives in step.
+A fit is run_chains: it validates the data, allocates one DrawStore whose
+row blocks the chains fill in turn, and summarizes that store once.
 """
 
 from __future__ import annotations
@@ -84,15 +86,6 @@ class DrawStore:
     def included(self) -> np.ndarray:
         """(S, p) bool, a fresh array on each read."""
         return self.beta != 0.0
-
-    @staticmethod
-    def concat(stores: list["DrawStore"]) -> "DrawStore":
-        return DrawStore(
-            alpha=np.concatenate([s.alpha for s in stores]),
-            sigma2=np.concatenate([s.sigma2 for s in stores]),
-            g=np.concatenate([s.g for s in stores]),
-            beta=np.concatenate([s.beta for s in stores]),
-        )
 
 
 @dataclass(frozen=True)
@@ -267,19 +260,15 @@ def summarize(
     )
 
 
-def run_chain(data: Dataset, prior: PriorConfig, config: ChainConfig) -> ChainOutput:
-    validate_dataset(data)
+def run_chain(
+    data: Dataset, prior: PriorConfig, config: ChainConfig, store: DrawStore
+) -> ChainState:
+    """One chain from init_chain: freezes the adapters at burn-in, checks
+    each state is finite, and writes the kept draws into store, whose beta
+    rows must start at zero. Returns the final state."""
     rng = np.random.default_rng(config.seed)
     state = init_chain(data, prior)
-
     burn_in = config.resolved_burn_in()
-    n_keep = len(range(burn_in, config.n_iter, config.thin))
-    store = DrawStore(
-        alpha=np.empty(n_keep),
-        sigma2=np.empty(n_keep),
-        g=np.empty(n_keep),
-        beta=np.zeros((n_keep, data.p)),
-    )
     kept = 0
     for t in range(config.n_iter):
         if t == burn_in:
@@ -298,17 +287,7 @@ def run_chain(data: Dataset, prior: PriorConfig, config: ChainConfig) -> ChainOu
             store.g[kept] = g
             store.beta[kept, state.M.indices] = state.beta_k
             kept += 1
-
-    hyper = state.hyper
-    return summarize(
-        store,
-        state.cache.design.col_means,
-        accept_model=state.n_accept_model / config.n_iter,
-        accept_g=state.n_accept_g / config.n_iter if hyper else np.nan,
-        accept_latent=state.sum_accept_latent / config.n_iter,
-        latent_step=np.exp(state.adapt_z.log_scale),
-        g_step_sd=step_sd(state.adapt_g) if hyper else np.nan,
-    )
+    return state
 
 
 def run_chains(
@@ -317,19 +296,29 @@ def run_chains(
     config: ChainConfig,
     n_chains: int,
 ) -> ChainOutput:
-    """Independent chains with seeds seed + chain index, merged by pooling draws."""
+    """Independent chains with seeds seed + chain index. Chain c writes rows
+    [c n_keep, (c + 1) n_keep) of one pooled store, summarized once."""
     if n_chains < 1:
         raise ValueError("n_chains must be >= 1")
-    outs = [
-        run_chain(data, prior, replace(config, seed=config.seed + c)) for c in range(n_chains)
-    ]
-    merged = DrawStore.concat([o.draws for o in outs])
+    validate_dataset(data)
+    n_keep = len(range(config.resolved_burn_in(), config.n_iter, config.thin))
+    S = n_chains * n_keep
+    store = DrawStore(
+        alpha=np.empty(S), sigma2=np.empty(S), g=np.empty(S), beta=np.zeros((S, data.p))
+    )
+    states = []
+    for c in range(n_chains):
+        rows = slice(c * n_keep, (c + 1) * n_keep)
+        block = DrawStore(**{name: draws[rows] for name, draws in vars(store).items()})
+        states.append(run_chain(data, prior, replace(config, seed=config.seed + c), block))
+
+    n_iter, hyper = config.n_iter, states[0].hyper
     return summarize(
-        merged,
-        outs[0].col_means,
-        accept_model=float(np.mean([o.accept_model for o in outs])),
-        accept_g=float(np.mean([o.accept_g for o in outs])),
-        accept_latent=float(np.mean([o.accept_latent for o in outs])),
-        latent_step=np.concatenate([o.latent_step for o in outs]),
-        g_step_sd=float(np.mean([o.g_step_sd for o in outs])),
+        store,
+        states[0].cache.design.col_means,
+        accept_model=float(np.mean([s.n_accept_model / n_iter for s in states])),
+        accept_g=float(np.mean([s.n_accept_g / n_iter for s in states])) if hyper else np.nan,
+        accept_latent=float(np.mean([s.sum_accept_latent / n_iter for s in states])),
+        latent_step=np.concatenate([np.exp(s.adapt_z.log_scale) for s in states]),
+        g_step_sd=float(np.mean([step_sd(s.adapt_g) for s in states])) if hyper else np.nan,
     )

@@ -276,7 +276,7 @@ class HyperGOverN:
 class PriorConfig:
     """g-prior choice plus the prior expected number of included covariates.
 
-    run_chain checks model_size < p against the data, through
+    init_chain checks model_size < p against the data, through
     model_space.size_log_prior."""
 
     gprior: FixedG | HyperGOverN

@@ -42,8 +42,8 @@ class SimConfig:
             raise ValueError(f"need p >= {BETA_PATTERN.shape[0]}")
         if not (-1.0 < self.rho < 1.0):
             raise ValueError("rho must lie in (-1, 1)")
-        if self.dgp == "ullgm" and not (0 < self.sigma2 < np.inf):
-            raise ValueError(f"ullgm dgp needs a finite sigma2 > 0, got {self.sigma2}")
+        if not (0 < self.sigma2 < np.inf):
+            raise ValueError(f"sigma2 must be finite and > 0, got {self.sigma2}")
         if self.family.name == "bil" and self.trials_count < 1:
             raise ValueError("bil needs trials_count >= 1")
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from scipy.stats import binom, poisson
 
-from ullgm.chain import ChainConfig, run_chain
+from ullgm.chain import ChainConfig, run_chains
 from ullgm.cli import main as cli_main
 from ullgm.core import (
     BIL,
@@ -283,8 +283,8 @@ def test_criterion_6_scaled_simulation_study():
     for r in range(reps):
         data, truth, _ = gen_dataset(cfg, np.random.default_rng((2024, r)))
         prior = PriorConfig(gprior=FixedG(float(cfg.n)), model_size=cfg.p / 2)
-        out = run_chain(
-            data, prior, ChainConfig(n_iter=60_000, burn_in=50_000, seed=100 + r)
+        out = run_chains(
+            data, prior, ChainConfig(n_iter=60_000, burn_in=50_000, seed=100 + r), 1
         )
         rep = metrics(out, truth)
         rows.append((rep.model_size, rep.brier, rep.fpr, rep.sigma2))
@@ -330,7 +330,7 @@ def test_criterion_7_overdispersion_helps_prediction():
         data_te = Dataset(y=y[te], X=X[te], family=PLN)
         prior = PriorConfig(gprior=FixedG(float(len(tr))), model_size=10.0)
         cfg = ChainConfig(n_iter=5000, burn_in=2500, thin=5, seed=900 + s)
-        full = run_chain(data_tr, prior, cfg)
+        full = run_chains(data_tr, prior, cfg, 1)
         l_full = lps(data_te, full.draws, full.col_means)
         l_glm, fit = glm_lps(data_tr, data_te)
         assert fit.success, (s, fit.message)  # a failed fit must not hand over a win
@@ -362,8 +362,8 @@ def test_criterion_8_true_model_probability_grows_with_n():
             y = rng.poisson(np.exp(zlat)).astype(float)
             data = Dataset(y=y, X=X, family=PLN)
             prior = PriorConfig(gprior=FixedG(float(n)), model_size=4.0)
-            out = run_chain(
-                data, prior, ChainConfig(n_iter=16_000, burn_in=8_000, seed=rep * 7 + n)
+            out = run_chains(
+                data, prior, ChainConfig(n_iter=16_000, burn_in=8_000, seed=rep * 7 + n), 1
             )
             probs.append(dict(out.top_models).get(want_bits, 0.0))
         paths.append(probs)

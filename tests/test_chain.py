@@ -1,13 +1,14 @@
 """Full Gibbs loop: wiring, determinism, and joint-distribution checks."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.stats import kstest
 
 from ullgm import chain as chain_module
-from ullgm.chain import ChainConfig, DrawStore, init_chain, run_chain, run_chains
+from ullgm.chain import ChainConfig, DrawStore, init_chain, run_chains
 from ullgm.core import (
     BIL,
     Dataset,
@@ -86,11 +87,12 @@ def test_init_chain_state():
 def test_step_loop_reproduces_run_chain():
     # init_chain plus a hand loop of step, with the adapters frozen at
     # burn-in, is run_chain's iteration: the kept draws agree bit for bit,
-    # and the stored inclusion is the chain's own model at each kept draw
+    # and the stored inclusion is the chain's own model at each kept draw,
+    # so a stored beta is zero exactly outside that model
     data = _dataset(n=40, p=4)
     prior = PriorConfig(gprior=HyperGOverN(a=3.0), model_size=2.0)
     cfg = ChainConfig(n_iter=120, burn_in=60, thin=3, seed=8)
-    out = run_chain(data, prior, cfg)
+    out = run_chains(data, prior, cfg, 1)
 
     state = init_chain(data, prior)
     rng = np.random.default_rng(cfg.seed)
@@ -117,20 +119,20 @@ def test_run_chain_is_deterministic():
     data = _dataset(n=40, p=4)
     prior = _prior(data)
     cfg = ChainConfig(n_iter=600, burn_in=300, seed=42)
-    a = run_chain(data, prior, cfg)
-    b = run_chain(data, prior, cfg)
+    a = run_chains(data, prior, cfg, 1)
+    b = run_chains(data, prior, cfg, 1)
     np.testing.assert_array_equal(a.draws.alpha, b.draws.alpha)
     np.testing.assert_array_equal(a.draws.included, b.draws.included)
     np.testing.assert_array_equal(a.draws.beta, b.draws.beta)
     np.testing.assert_array_equal(a.pip, b.pip)
-    c = run_chain(data, prior, ChainConfig(n_iter=600, burn_in=300, seed=43))
+    c = run_chains(data, prior, ChainConfig(n_iter=600, burn_in=300, seed=43), 1)
     assert not np.array_equal(a.draws.alpha, c.draws.alpha)
 
 
 def test_output_shapes_and_bookkeeping():
     data = _dataset(n=40, p=4)
     cfg = ChainConfig(n_iter=500, burn_in=200, thin=3, seed=1)
-    out = run_chain(data, _prior(data), cfg)
+    out = run_chains(data, _prior(data), cfg, 1)
     kept = len(range(200, 500, 3))
     assert out.draws.n_kept == kept
     assert out.draws.alpha.shape == (kept,)
@@ -146,51 +148,60 @@ def test_output_shapes_and_bookkeeping():
     assert np.isnan(out.accept_g)
 
 
-def test_beta_zero_when_excluded():
-    data = _dataset(n=50, p=5)
-    out = run_chain(data, _prior(data), ChainConfig(n_iter=800, burn_in=400, seed=3))
-    incl = out.draws.included
-    beta = out.draws.beta
-    assert np.all(beta[~incl] == 0.0)
-    assert np.any(beta[incl] != 0.0)
-    # summary columns line up with per-draw storage
-    np.testing.assert_allclose(out.pip, incl.mean(axis=0), atol=1e-12)
-
-
 def test_impropriety_raises():
     X = np.random.default_rng(0).normal(size=(6, 2))
     data = Dataset(y=[0, 0, 0, 0, 0, 7], X=X, family=PLN)
+    prior = PriorConfig(gprior=FixedG(6.0), model_size=1.0)
     with pytest.raises(PosteriorImproprietyRisk):
-        run_chain(data, PriorConfig(gprior=FixedG(6.0), model_size=1.0), ChainConfig(n_iter=10))
+        run_chains(data, prior, ChainConfig(n_iter=10), 1)
+    # the chain count is checked before the data
+    with pytest.raises(ValueError, match="n_chains"):
+        run_chains(data, prior, ChainConfig(n_iter=10), 0)
 
 
 def test_model_size_must_stay_below_p():
     data = _dataset(n=40, p=4)
     with pytest.raises(ValueError, match="expected model size"):
-        run_chain(data, _prior(data, m=4.0), ChainConfig(n_iter=10))
+        run_chains(data, _prior(data, m=4.0), ChainConfig(n_iter=10), 1)
 
 
 def test_hyper_g_moves_and_stays_positive():
     data = _dataset(n=50, p=5)
     prior = PriorConfig(gprior=HyperGOverN(a=3.0), model_size=2.5)
-    out = run_chain(data, prior, ChainConfig(n_iter=2000, burn_in=1000, seed=7))
+    out = run_chains(data, prior, ChainConfig(n_iter=2000, burn_in=1000, seed=7), 1)
     g = out.draws.g
     assert np.all(g > 0)
     assert np.unique(g).size > 100
     assert 0.05 < out.accept_g < 0.6
 
 
-def test_run_chains_pools_draws():
+def test_run_chains_pools_draws(monkeypatch):
+    # chain c fills rows [c S, (c + 1) S) of the pooled store with the draws
+    # a one-chain fit seeded seed + c makes, and the fit is summarized once
     data = _dataset(n=40, p=4)
-    prior = _prior(data)
-    cfg = ChainConfig(n_iter=400, burn_in=200, seed=11)
-    single = run_chain(data, prior, cfg)
-    pooled = run_chains(data, prior, cfg, n_chains=3)
-    assert pooled.draws.n_kept == 3 * single.draws.n_kept
-    # first chain reuses the base seed
-    np.testing.assert_array_equal(
-        pooled.draws.alpha[: single.draws.n_kept], single.draws.alpha
+    prior = _prior(data, g=HyperGOverN(a=3.0))
+    cfg = ChainConfig(n_iter=400, burn_in=200, thin=2, seed=11)
+    singles = [run_chains(data, prior, replace(cfg, seed=cfg.seed + c), 1) for c in range(3)]
+    summaries = []
+    summarize = chain_module.summarize
+    monkeypatch.setattr(
+        chain_module, "summarize", lambda *a, **k: summaries.append(1) or summarize(*a, **k)
     )
+    pooled = run_chains(data, prior, cfg, n_chains=3)
+    assert len(summaries) == 1
+    S = singles[0].n_kept
+    assert pooled.n_kept == 3 * S
+    for c, single in enumerate(singles):
+        for name in ("alpha", "sigma2", "g", "beta"):
+            np.testing.assert_array_equal(
+                getattr(pooled.draws, name)[c * S : (c + 1) * S], getattr(single.draws, name)
+            )
+    for name in ("accept_model", "accept_g", "accept_latent", "g_step_sd"):
+        assert getattr(pooled, name) == np.mean([getattr(o, name) for o in singles]), name
+    np.testing.assert_array_equal(
+        pooled.latent_step, np.concatenate([o.latent_step for o in singles])
+    )
+    assert not np.isnan(pooled.g_step_sd)
 
 
 def test_column_permutation_equivariance():
@@ -199,14 +210,14 @@ def test_column_permutation_equivariance():
     perm = np.array([3, 0, 4, 1, 2])
     data_p = Dataset(y=data.y, X=data.X[:, perm], family=PLN)
     cfg = ChainConfig(n_iter=30_000, burn_in=10_000, seed=17)
-    out = run_chain(data, _prior(data), cfg)
-    out_p = run_chain(data_p, _prior(data_p), cfg)
+    out = run_chains(data, _prior(data), cfg, 1)
+    out_p = run_chains(data_p, _prior(data_p), cfg, 1)
     np.testing.assert_allclose(out.pip[perm], out_p.pip, atol=0.06)
 
 
 def test_signal_recovery_smoke():
     data = _dataset(n=120, p=6, seed=19)
-    out = run_chain(data, _prior(data), ChainConfig(n_iter=4000, burn_in=2000, seed=23))
+    out = run_chains(data, _prior(data), ChainConfig(n_iter=4000, burn_in=2000, seed=23), 1)
     assert out.pip[0] > 0.95 and out.pip[1] > 0.95
     assert out.pip[2:].max() < 0.7
     assert abs(out.alpha.mean - 1.0) < 0.4
@@ -361,7 +372,7 @@ def test_summarize_top_models_and_sizes():
 def test_chain_never_keeps_both_copies_of_a_duplicated_column():
     base = _dataset(n=60, p=5, seed=21)
     data = Dataset(y=base.y, X=np.column_stack([base.X, base.X[:, 0]]), family=PLN)
-    out = run_chain(data, _prior(data), ChainConfig(n_iter=2000, seed=4))
+    out = run_chains(data, _prior(data), ChainConfig(n_iter=2000, seed=4), 1)
     included = out.draws.included
     assert not np.any(included[:, 0] & included[:, 5])
     # the signal column is nearly always in, so adding its copy is proposed often
@@ -377,13 +388,27 @@ def test_memory_stays_flat_over_iterations():
     def peak(n_iter):
         tracemalloc.start()
         try:
-            run_chain(data, prior, ChainConfig(n_iter=n_iter, burn_in=n_iter - 500, seed=3))
+            run_chains(data, prior, ChainConfig(n_iter=n_iter, burn_in=n_iter - 500, seed=3), 1)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     growth = peak(4000) - peak(1000)
     assert growth < 512 * 1024, growth
+
+
+def test_fit_holds_its_draws_once():
+    # the chains write into one pooled store: the summary's (S, p)
+    # temporaries bring the peak to about 2.5x the pooled beta, and any
+    # second copy of the draws would lift it past 3.5x
+    data = _dataset(n=60, p=40, seed=11, family=nbl(2))
+    tracemalloc.start()
+    try:
+        out = run_chains(data, _prior(data), ChainConfig(n_iter=2000, burn_in=0, seed=3), 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * out.draws.beta.nbytes, peak / out.draws.beta.nbytes
 
 
 def test_refused_rebuild_names_the_stage_and_iteration(monkeypatch):
@@ -393,7 +418,7 @@ def test_refused_rebuild_names_the_stage_and_iteration(monkeypatch):
     monkeypatch.setattr(SuffStatsCache, "chol", lambda self, M: None if M.p_k else hold(self, M))
     data = _dataset()
     with pytest.raises(np.linalg.LinAlgError, match=r"\(model move, iteration \d+\)$"):
-        run_chain(data, _prior(data), ChainConfig(n_iter=50, seed=0))
+        run_chains(data, _prior(data), ChainConfig(n_iter=50, seed=0), 1)
 
 
 def test_constant_latent_vector_names_the_stage_and_iteration(monkeypatch):
@@ -403,4 +428,4 @@ def test_constant_latent_vector_names_the_stage_and_iteration(monkeypatch):
     monkeypatch.setattr(chain_module, "update_all_latents", constant_sweep)
     data = _dataset()
     with pytest.raises(DegenerateZ, match=r"\(model move, iteration 1\)$"):
-        run_chain(data, _prior(data), ChainConfig(n_iter=5, seed=0))
+        run_chains(data, _prior(data), ChainConfig(n_iter=5, seed=0), 1)

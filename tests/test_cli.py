@@ -220,11 +220,14 @@ def test_fit_validation_exit_codes(tmp_path):
         ["simulate", "--n", "40", "--p", "10", "--sigma2", "inf"],
         ["simulate", "--n", "40", "--p", "10", "--sigma2", "800"],  # exp(z) overflows poisson
         ["simulate", "--n", "40", "--p", "10", "--sigma2", "800", "--family", "nbl", "--r", "2"],
+        ["simulate", "--n", "40", "--p", "10", "--dgp", "glm", "--sigma2", "inf"],
+        ["simulate", "--n", "40", "--p", "10", "--dgp", "loggamma", "--sigma2", "-5"],
     ],
     ids=[
         "chains", "r", "splits", "p", "replicates", "n", "trials-count", "test-share",
         "test-share-1", "test-share-no-row", "msize-0", "msize-p", "seed",
-        "sigma2-inf", "sigma2-overflow", "sigma2-overflow-nbl",
+        "sigma2-inf", "sigma2-overflow", "sigma2-overflow-nbl", "sigma2-inf-glm",
+        "sigma2-negative-loggamma",
     ],
 )
 def test_bad_counts_are_validation_errors(tmp_path, capsys, argv):
@@ -234,6 +237,7 @@ def test_bad_counts_are_validation_errors(tmp_path, capsys, argv):
     assert main(argv) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("error: ")
+    assert not (tmp_path / "run" / "manifest.json").exists()
     for flag in ("--msize", "--seed"):
         if flag in argv:
             assert err.startswith(f"error: {flag}")

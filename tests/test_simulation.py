@@ -199,3 +199,5 @@ def test_sim_config_validation():
         SimConfig(n=10, p=9)
     with pytest.raises(ValueError):
         SimConfig(n=10, p=12, rho=1.5)
+    with pytest.raises(ValueError, match="sigma2"):
+        SimConfig(n=10, p=12, dgp="glm", sigma2=-1.0)
