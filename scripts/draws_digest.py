@@ -22,6 +22,11 @@ sigma2, g, beta and the holdout scores:
 A change to the predictive rule alone keeps the digests and moves only logp;
 logp=nan when DIR holds no scores.
 
+The floats, and so the digests, also depend on the machine: numpy, the
+BLAS and the SIMD kernels numpy picks at run time. The script first prints
+one line naming them to stderr; compare digests only with ones made where
+that line reads the same.
+
 Usage:
     python scripts/draws_digest.py --seed 9001 [--workload NAME] [--dataset I]
         [--save DIR] [--against DIR]
@@ -47,6 +52,14 @@ def compare(arrays, saved) -> str:
         diff = float(np.max(np.abs(a - b))) if b is not None and a.shape == b.shape else float("nan")
         words.append(f"{name}={diff:.3g}")
     return " ".join(words)
+
+
+def machine() -> str:
+    """numpy, its BLAS and the SIMD extensions numpy found on this CPU."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    simd = " ".join(config["SIMD Extensions"]["found"])
+    return f"machine: numpy {np.__version__}, BLAS {blas['name']} {blas['version']}, SIMD {simd}"
 
 
 def main(argv=None) -> int:
@@ -75,6 +88,7 @@ def main(argv=None) -> int:
         return 2
     if args.save is not None:
         args.save.mkdir(parents=True, exist_ok=True)
+    print(machine(), file=sys.stderr, flush=True)
 
     names = [args.workload] if args.workload else sorted(WORKLOADS)
     indices = [args.dataset] if args.dataset is not None else range(DATASETS)

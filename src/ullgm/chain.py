@@ -278,7 +278,8 @@ def run_chain(
         alpha, sigma2, g = state.alpha, state.sigma2, state.g
         if not (isfinite(alpha) and isfinite(sigma2) and sigma2 > 0 and isfinite(g)):
             raise RuntimeError(f"non-finite sampler state at iteration {t}")
-        if not np.all(np.isfinite(state.z)):
+        # a finite sum has only finite terms; the full check runs when it overflows
+        if not (isfinite(np.add.reduce(state.z)) or np.all(np.isfinite(state.z))):
             raise RuntimeError(f"non-finite latent vector at iteration {t}")
 
         if t >= burn_in and (t - burn_in) % config.thin == 0:
@@ -319,6 +320,6 @@ def run_chains(
         accept_model=float(np.mean([s.n_accept_model / n_iter for s in states])),
         accept_g=float(np.mean([s.n_accept_g / n_iter for s in states])) if hyper else np.nan,
         accept_latent=float(np.mean([s.sum_accept_latent / n_iter for s in states])),
-        latent_step=np.concatenate([np.exp(s.adapt_z.log_scale) for s in states]),
+        latent_step=np.concatenate([s.adapt_z.scale() for s in states]),
         g_step_sd=float(np.mean([step_sd(s.adapt_g) for s in states])) if hyper else np.nan,
     )

@@ -181,12 +181,13 @@ class CenteredDesign:
 
 
 def center_design(X: np.ndarray) -> CenteredDesign:
-    """X minus its column means. A constant column centers to exact zeros,
-    not to the rounding error of its mean, which the rank rule, measuring
-    each column against its own norm, would take for a covariate."""
+    """X minus its column means, column-major: the sampler reads the design
+    a column at a time. A constant column centers to exact zeros, not to
+    the rounding error of its mean, which the rank rule, measuring each
+    column against its own norm, would take for a covariate."""
     X = np.asarray(X, dtype=np.float64)
     means = X.mean(axis=0)
-    Xc = X - means
+    Xc = np.subtract(X, means, order="F")
     Xc[:, np.all(X == X[:1], axis=0)] = 0.0
     return CenteredDesign(Xc, means)
 
@@ -297,11 +298,22 @@ class ScaleAdapter:
     target: float
     iter: int = 0
     frozen: bool = False
+    _frozen_scale = None  # not a field: exp(log_scale), set by scale() while frozen
+
+    def scale(self) -> np.ndarray | float:
+        """exp(log_scale); while frozen, computed once and shared, so callers
+        must not write to it. log_scale changes only through update."""
+        if not self.frozen:
+            return np.exp(self.log_scale)
+        if self._frozen_scale is None:
+            self._frozen_scale = np.exp(self.log_scale)
+        return self._frozen_scale
 
     def update(self, accepted) -> None:
         """accepted is a bool or a bool array shaped like log_scale."""
         self.iter += 1
         if not self.frozen:
+            self._frozen_scale = None
             # iter^-ADAPT_KAPPA (accepted - target) for accepted = 0 and 1,
             # the same floats as the formula, read off by index
             c = self.iter**-ADAPT_KAPPA

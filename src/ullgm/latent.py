@@ -6,14 +6,15 @@ xi ~ N(0, step_i^2), move in the direction favored by the gradient with
 probability logistic(xi * grad), and apply the matching acceptance ratio.
 The step sds are exp(adapt.log_scale), one per observation, from a
 core.ScaleAdapter that targets a 0.57 acceptance rate and is frozen once
-burn-in ends.
+burn-in ends; frozen, the steps are computed once (ScaleAdapter.scale), not
+once per sweep.
 
 The conditionals are independent across i, so one sweep is evaluated as a
 single vectorized block; draws are indexed by observation within each sweep.
 
 A non-finite gradient (e.g. exp overflow far out in the tails) degrades the
 proposal to a symmetric random walk at that coordinate, keeping the kernel
-well defined everywhere.
+well defined everywhere; one exact sum per gradient finds such entries.
 
 The likelihood half of the target, loglik_value_grad(z), depends on z, y
 and the trials only, not on (alpha, beta, sigma2). A sweep therefore takes
@@ -34,16 +35,20 @@ and the carried likelihood pair is selected on its int64 bits (_select);
 a rejected z of -0.0 may come back as the equal +0.0.
 
 The rest of the step is formed in place, in as few array passes as it
-allows: the residual at the proposal is r0 + d, the Gaussian half of the
-log ratio is d (r0 + r1) / (2 sigma2), the direction test is
-u (1 + e) < max(e, a >= 0) without a division, and softplus(-d g0) is
-log1p(e) - min(d g0, 0). The RNG calls, in order and size, and the moves
-of z are those of the textbook form, save that the acceptance arithmetic
-may differ from it by a few ulps: a coordinate within ulps of its
-acceptance threshold could decide the other way.
+allows: the residual at the proposal is r0 + d, 1/sigma2 is multiplied in
+rather than divided, the Gaussian half of the log ratio is
+d (r0 + r1) / (2 sigma2), the direction test is u (1 + e) < max(e, a >= 0)
+without a division, and the acceptance test is taken in ratio space,
+u (1 + e1) < exp(L) (1 + e) (barker_step), one exp where the log form
+needs two log1p and a log. The RNG calls, in order and size, and the
+moves of z are those of the textbook form, save that the acceptance
+arithmetic may differ from it by a few ulps: a coordinate within ulps of
+its acceptance threshold could decide the other way.
 """
 
 from __future__ import annotations
+
+from math import isfinite
 
 import numpy as np
 
@@ -74,8 +79,11 @@ def _select(mask, new, old):
 
 def _surrogate_grad(grad_lik, resid_over_sigma2):
     """Gradient of the log full conditional, grad_lik - resid / sigma2, with
-    non-finite entries replaced by 0; overwrites resid_over_sigma2."""
+    non-finite entries replaced by 0; overwrites resid_over_sigma2. A finite
+    sum has only finite terms, so the select runs only when it is not."""
     g = np.subtract(grad_lik, resid_over_sigma2, out=resid_over_sigma2)
+    if isfinite(np.add.reduce(g)):
+        return g
     return np.where(np.isfinite(g), g, 0.0)
 
 
@@ -93,15 +101,27 @@ def barker_step(z, lik, step, linpred, sigma2, loglik, rng: np.random.Generator)
     proposal z + d, the log acceptance ratio is
 
         loglik(z + d) - loglik(z) - d (r0 + r1) / (2 sigma2)
-            + softplus(-d g0) - softplus(d g1),
+            + softplus(-d g0) - softplus(d g1).
 
-    where softplus(-d g0) = log1p(e) - min(d g0, 0): -d g0 is +-(xi g0)
-    exactly, so e = exp(-|xi g0|) is shared with the direction test.
+    softplus(x) = max(x, 0) + log1p(exp(-|x|)), and -d g0 is +-(xi g0)
+    exactly, so e = exp(-|xi g0|) is shared with the direction test. The
+    test is taken in ratio space: with e1 = exp(-|d g1|) and
+
+        L = loglik(z + d) - loglik(z) - d (r0 + r1) / (2 sigma2)
+            - min(d g0, 0) - max(d g1, 0),
+
+    log u < L + log1p(e) - log1p(e1) becomes u (1 + e1) < exp(L) (1 + e),
+    one exp in place of two log1p and a log. A NaN L rejects in both forms,
+    L > 709 accepts, and a -inf proposal value rejects. The forms differ
+    only when u is exactly 0 (probability 2^-53) and L is finite and
+    <= -745: log u = -inf accepts, while exp(L) (1 + e) underflows to 0
+    and rejects.
     """
     n = z.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
+        inv_sigma2 = 1.0 / np.float64(sigma2)  # inf, not ZeroDivisionError, at 0
         r0 = z - linpred
-        g0 = _surrogate_grad(lik[1], r0 / sigma2)
+        g0 = _surrogate_grad(lik[1], r0 * inv_sigma2)
         xi = rng.standard_normal(n)
         xi *= step
         u_dir = rng.random(n)
@@ -120,26 +140,27 @@ def barker_step(z, lik, step, linpred, sigma2, loglik, rng: np.random.Generator)
         r1 = r0 + d
         r0 += r1
         r0 *= d
-        r0 /= 2.0 * sigma2  # the Gaussian half of the log target falls by this
-        g1 = _surrogate_grad(lik1[1], np.divide(r1, sigma2, out=r1))
-        log_acc = lik1[0] - lik[0]
-        log_acc -= r0
+        r0 *= 0.5 * inv_sigma2  # the Gaussian half of the log target falls by this
+        r1 *= inv_sigma2
+        g1 = _surrogate_grad(lik1[1], r1)
+        log_ratio = np.subtract(lik1[0], lik[0], out=xi)  # L, in xi's buffer
+        log_ratio -= r0
         g0 *= d
         np.minimum(g0, 0.0, out=g0)
-        np.log1p(e, out=e)
-        e -= g0
-        log_acc += e
-        g1 *= d  # softplus(d g1), formed in place as in likelihoods.softplus
+        log_ratio -= g0
+        g1 *= d
         np.abs(g1, out=a)
         np.negative(a, out=a)
-        np.exp(a, out=a)
-        np.log1p(a, out=a)
+        np.exp(a, out=a)  # e1
         np.maximum(g1, 0.0, out=g1)
-        g1 += a
-        log_acc -= g1
+        log_ratio -= g1
+        ratio = np.exp(log_ratio, out=log_ratio)
+        e += 1.0
+        ratio *= e
+        a += 1.0
         u = rng.random(n)
-        np.log(u, out=u)
-        accepted = u < log_acc  # NaN rejects
+        u *= a
+        accepted = u < ratio  # NaN rejects
     d *= accepted
     return z + d, accepted, _select(accepted, lik1, lik)
 
@@ -155,7 +176,7 @@ def update_all_latents(
     adapt: ScaleAdapter,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """One sweep over the latent vector, step sds exp(adapt.log_scale); adapts them.
+    """One sweep over the latent vector, step sds adapt.scale(); adapts them.
 
     lik is loglik_value_grad(family, y, z, trials); the sweep returns
     (z, accept mask, lik at the new z).
@@ -163,7 +184,7 @@ def update_all_latents(
     z_out, accepted, lik_out = barker_step(
         z,
         lik,
-        np.exp(adapt.log_scale),
+        adapt.scale(),
         linpred,
         sigma2,
         lambda x: loglik_value_grad(family, y, x, trials),

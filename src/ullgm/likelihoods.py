@@ -39,13 +39,6 @@ def logistic(z, e):
     return np.maximum(e, z >= 0) / (1.0 + e)
 
 
-def softplus_expit(z):
-    """softplus(z) and logistic(z) from one exp(-|z|); finite at every z."""
-    z = np.asarray(z, dtype=np.float64)
-    e = np.exp(-np.abs(z))
-    return np.maximum(z, 0.0) + np.log1p(e), logistic(z, e)
-
-
 def _as_float_arrays(*xs):
     return [np.asarray(x, dtype=np.float64) for x in xs]
 
@@ -104,17 +97,31 @@ def loglik_value_grad(family: FamilyTag, y, z, trials=None):
     """log f(y | z) without its z-free constants, and its z-gradient.
 
     Only differences in z matter inside the latent Metropolis step, so the
-    gammaln terms are dropped; log_pmf keeps them. The logit families take
-    softplus and the logistic function from one exponential, so large |z|
-    stays finite; pln overflows to -inf past z ~ 709, which the Barker step
-    treats as a signal to fall back to a symmetric walk.
+    gammaln terms are dropped; log_pmf keeps them. The logit families form
+    a z - N softplus(z) and a - N logistic(z) in place from one
+    e = exp(-|z|), with the floats of the textbook expressions, so large |z|
+    stays finite; 0-d input gives floats. pln overflows to -inf past
+    z ~ 709, which the Barker step treats as a signal to fall back to a
+    symmetric walk.
     """
     if family.name == "pln":
         ez = np.exp(z)
         return y * z - ez, y - ez
     a, N = logit_counts(family, y, trials)
-    sp, sig = softplus_expit(z)
-    return a * z - N * sp, a - N * sig
+    z = _broadcast_z(np.asarray(z, dtype=np.float64), a, N)
+    e = np.abs(z, out=np.empty(z.shape))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    value = np.log1p(e, out=np.empty(z.shape))
+    value += np.maximum(z, 0.0)  # softplus(z)
+    value *= N
+    np.subtract(np.multiply(a, z), value, out=value)
+    grad = np.maximum(e, z >= 0, out=np.empty(z.shape))
+    e += 1.0
+    grad /= e  # logistic(z)
+    grad *= N
+    np.subtract(a, grad, out=grad)
+    return _maybe_scalar(value), _maybe_scalar(grad)
 
 
 def loglik_grad_curvature(family: FamilyTag, y, z, trials=None):
@@ -125,10 +132,10 @@ def loglik_grad_curvature(family: FamilyTag, y, z, trials=None):
     quadrature's Newton steps, whose arrays are Newton blocks of (holdout
     points x draws) linear predictors, up to QUAD_ORDER * BUDGET = 16,384
     elements, with y and trials as (rows, 1) columns. s is the logistic
-    function the latent sweep uses, taken from exp(-|z|) without the
-    softplus that sweep also needs; on a 16,384-element block it costs
-    61-75 us against 109-135 us for softplus_expit (2-vCPU Xeon), and it
-    differs from scipy's expit by a few ulp.
+    function of loglik_value_grad, taken from exp(-|z|) without the
+    softplus that the sweep's value also needs; on a 16,384-element block
+    this pair costs 110-130 us against 137-157 us for loglik_value_grad's
+    (2-vCPU Xeon), and s differs from scipy's expit by a few ulp.
     """
     if family.name == "pln":
         ez = np.exp(z)

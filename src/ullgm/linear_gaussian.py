@@ -108,7 +108,8 @@ class SuffStatsCache:
     accepted. `set_z` refreshes zbar, tss, X_k'z, the least-squares
     coefficients bhat = A^{-1} X_k'z and the explained sum of squares
     ess = z'X_k bhat once per iteration, so its cost grows with p_k, not p;
-    an added column's x_i'z is formed on demand. By the sweep-operator
+    an added column's x_i'z is formed on demand, a contiguous read of the
+    column-major design (core.center_design). By the sweep-operator
     identities (Goodnight 1979, The American Statistician), `move_ess` then
     gives the ess of every add, delete and swap neighbour in O(p_k):
 

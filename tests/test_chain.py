@@ -429,3 +429,56 @@ def test_constant_latent_vector_names_the_stage_and_iteration(monkeypatch):
     data = _dataset()
     with pytest.raises(DegenerateZ, match=r"\(model move, iteration 1\)$"):
         run_chains(data, _prior(data), ChainConfig(n_iter=5, seed=0), 1)
+
+
+def _spoil_after_sweep(monkeypatch, at, spoil):
+    # the chain's sweep, with spoil(z) applied to the z it returns at
+    # iteration `at`
+    sweep = chain_module.update_all_latents
+    calls = []
+
+    def spoiled(z, lik, *args):
+        z, accepted, lik = sweep(z, lik, *args)
+        if len(calls) == at:
+            z = spoil(z.copy())
+        calls.append(None)
+        return z, accepted, lik
+
+    monkeypatch.setattr(chain_module, "update_all_latents", spoiled)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_latent_vector_names_the_iteration(monkeypatch, bad):
+    def spoil(z):
+        z[7] = bad
+        return z
+
+    _spoil_after_sweep(monkeypatch, 2, spoil)
+    data = _dataset()
+    with pytest.raises(RuntimeError, match=r"^non-finite latent vector at iteration 2$"):
+        run_chains(data, _prior(data), ChainConfig(n_iter=5, seed=0), 1)
+
+
+def test_finite_latent_vector_whose_sum_overflows_passes(monkeypatch):
+    # the check's first form, a finite sum, fails here; the entry-wise
+    # check must then clear the vector
+    _spoil_after_sweep(monkeypatch, 4, lambda z: np.full_like(z, 1e308))
+    data = _dataset()
+    with np.errstate(over="ignore"):
+        out = run_chains(data, _prior(data), ChainConfig(n_iter=5, seed=0), 1)
+    assert out.n_kept == 3
+
+
+def test_non_finite_sampler_state_names_the_iteration(monkeypatch):
+    draw = chain_module.sample_sigma2
+    calls = []
+
+    def spoiled(*args):
+        calls.append(None)
+        return np.inf if len(calls) == 3 else draw(*args)
+
+    monkeypatch.setattr(chain_module, "sample_sigma2", spoiled)
+    data = _dataset()
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(RuntimeError, match=r"^non-finite sampler state at iteration 2$"):
+            run_chains(data, _prior(data), ChainConfig(n_iter=5, seed=0), 1)

@@ -87,6 +87,10 @@ def test_center_design_zero_means():
     tol = 1e-10 * X.shape[0] * np.abs(X).max()
     assert np.abs(cd.Xc.sum(axis=0)).max() < tol
     np.testing.assert_allclose(cd.col_means, X.mean(axis=0))
+    # column-major, so the sampler's column reads are contiguous, and the
+    # same floats as the row-major difference
+    assert cd.Xc.flags.f_contiguous
+    np.testing.assert_array_equal(cd.Xc, X - X.mean(axis=0))
 
 
 def test_center_design_idempotent():

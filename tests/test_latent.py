@@ -9,6 +9,7 @@ from ullgm.core import BIL, PLN, ScaleAdapter, nbl
 from ullgm.latent import (
     BARKER_TARGET_ACC,
     _select,
+    _surrogate_grad,
     barker_step,
     update_all_latents,
 )
@@ -194,8 +195,125 @@ def test_select_matches_where_bit_for_bit():
                 np.testing.assert_array_equal(out.view(np.int64), want.view(np.int64))
 
 
+def test_surrogate_grad_fast_path_matches_where():
+    # one exact reduction stands in for the isfinite select: the result
+    # must carry the select's bits whether or not the sum is finite
+    rng = np.random.default_rng(14)
+    cases = [
+        rng.normal(size=300),
+        np.array([1e308, 1e308, -1.0]),  # all finite, the sum overflows
+        np.array([-1e308, -1e308, 1.0]),
+        np.array([0.5, np.inf, -2.0]),
+        np.array([0.5, -np.inf, -2.0]),
+        np.array([np.inf, -np.inf]),
+        np.array([0.5, np.nan, -2.0]),
+        np.array([-0.0, 0.0, 5e-324]),
+        np.zeros(0),
+    ]
+    for grad_lik in cases:
+        for resid in (np.zeros_like(grad_lik), rng.normal(size=grad_lik.shape)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                g = grad_lik - resid
+                want = np.where(np.isfinite(g), g, 0.0)
+                got = _surrogate_grad(grad_lik.copy(), resid.copy())
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class _ScriptedRng:
+    """Hands barker_step the given increments and uniforms, in its order."""
+
+    def __init__(self, xi, u_dir, u):
+        self._draws = [u, u_dir, xi]
+
+    def standard_normal(self, n):
+        return self._draws.pop().copy()
+
+    def random(self, n):
+        return self._draws.pop().copy()
+
+
+def _log_space_decisions(z, lik, loglik, linpred, sigma2, xi, u_dir, u):
+    # The acceptance test in log space, log u < log ratio, with softplus
+    # written out; the direction is drawn as barker_step draws it.
+    r0 = z - linpred
+    g0 = lik[1] - r0 / sigma2
+    g0 = np.where(np.isfinite(g0), g0, 0.0)
+    a = xi * g0
+    e = np.exp(-np.abs(a))
+    d = np.where(u_dir * (1.0 + e) < np.maximum(e, a >= 0), xi, -xi)
+    v1, grad1 = loglik(z + d)
+    r1 = r0 + d
+    g1 = grad1 - r1 / sigma2
+    g1 = np.where(np.isfinite(g1), g1, 0.0)
+    gauss = d * (r0 + r1) / (2.0 * sigma2)
+    log_ratio = v1 - lik[0] - gauss + softplus(-d * g0) - softplus(d * g1)
+    L = v1 - lik[0] - gauss - np.minimum(d * g0, 0.0) - np.maximum(d * g1, 0.0)
+    return np.log(u) < log_ratio, L
+
+
+def test_ratio_space_acceptance_matches_log_space():
+    # decision for decision on the edges of the ratio-space test: a -inf
+    # proposal value, a NaN log ratio, L > 709, L < -745, gradients at 0,
+    # and u = 0 exactly; only u = 0 with a finite L <= -745 may differ,
+    # and there the ratio form rejects
+    rng = np.random.default_rng(15)
+    n_bulk = 4000
+    sigma2 = 0.7
+    # pln coordinates: past exp overflow (z >= 710) the value is -inf at z
+    # and at the proposal, so the log ratio is -inf - -inf = NaN
+    y_pln = np.array([2.0, 2.0, 2.0, 3.0])
+    z_pln = np.array([799.0, 800.0, 800.0, 0.5])
+    xi_pln = np.array([1.0, 1.0, -1.0, 0.3])
+    with np.errstate(over="ignore", invalid="ignore"):
+        def pln(x):
+            return loglik_value_grad(PLN, y_pln, x)
+
+        case_pln = (z_pln, pln(z_pln), pln, np.zeros(4), xi_pln)
+    # table-driven coordinates: loglik returns (v1, g1) wherever it is asked
+    # edges: L = 800, L = -800 (twice), gradients at 0, non-finite
+    # gradients, NaN L (-inf - -inf), L = +inf and a -inf proposal value
+    inf, nan = np.inf, np.nan
+    bulk = rng.normal(size=(4, n_bulk)) * [[3.0], [3.0], [4.0], [4.0]]
+    v0 = np.concatenate([bulk[0], [0, 0, 0, 0, 0, -inf, -inf, 0]])
+    v1 = np.concatenate([bulk[1], [800, -800, -800, 0, 2, -inf, 1, -inf]])
+    g0 = np.concatenate([bulk[2], [0, 0, 0, 0, inf, nan, 0, 0]])
+    g1 = np.concatenate([bulk[3], [0, 0, 0, 0, -inf, 0, 0, 0]])
+    z_tab = rng.normal(size=v0.shape[0])
+    xi_tab = np.concatenate([rng.normal(size=n_bulk), [1, 1, 1, 0.1, 0.1, 1, 1, 1]])
+    lin_tab = z_tab.copy()  # residual 0 at z, so zero gradients stay zero
+    lin_tab[:n_bulk] += rng.normal(size=n_bulk)
+
+    def table(x):
+        return v1, g1
+
+    case_tab = (z_tab, (v0, g0), table, lin_tab, xi_tab)
+    n_differ = 0
+    for z, lik, loglik, linpred, xi in (case_pln, case_tab):
+        n = z.shape[0]
+        for u_dir, u in (
+            (rng.random(n), rng.random(n)),
+            (np.zeros(n), np.zeros(n)),
+            (np.full(n, 0.999), np.full(n, 0.5)),
+        ):
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                want, L = _log_space_decisions(z, lik, loglik, linpred, sigma2, xi, u_dir, u)
+                _, got, _ = barker_step(
+                    z, lik, 1.0, linpred, sigma2, loglik, _ScriptedRng(xi, u_dir, u)
+                )
+            differs = (u == 0.0) & (L <= -745.0) & (L > -np.inf)
+            np.testing.assert_array_equal(got[~differs], want[~differs])
+            assert not got[differs].any() and want[differs].all()
+            n_differ += differs.sum()
+    assert n_differ == 2
+    # the edge coordinates decided as stated, for u = 0.5
+    n = z_tab.shape[0]
+    scripted = _ScriptedRng(xi_tab, np.zeros(n), np.full(n, 0.5))
+    _, got, _ = barker_step(z_tab, (v0, g0), 1.0, lin_tab, sigma2, table, scripted)
+    np.testing.assert_array_equal(got[n_bulk:], [1, 0, 0, 1, 1, 0, 1, 0])
+
+
 def _two_evaluation_loglik(fam, y, z, trials):
-    # reference likelihood pair on scipy's expit, independent of softplus_expit
+    # reference likelihood pair on scipy's expit, independent of loglik_value_grad
     if fam.name == "pln":
         ez = np.exp(z)
         return y * z - ez, y - ez

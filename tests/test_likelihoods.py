@@ -8,9 +8,9 @@ from scipy.special import expit, gammaln
 from ullgm.core import BIL, PLN, nbl
 from ullgm.likelihoods import (
     log_pmf,
+    logistic,
     loglik_value_grad,
     softplus,
-    softplus_expit,
 )
 
 
@@ -136,15 +136,24 @@ def test_softplus_matches_reference():
     np.testing.assert_allclose(softplus(z), np.logaddexp(0.0, z), rtol=1e-15)
 
 
-def test_fused_softplus_expit_edges():
+def test_logit_value_grad_edges():
+    # the logit families' pair is formed in place from one exp(-|z|): finite
+    # at every z, raising no overflow or invalid, and equal element for
+    # element whether z arrives as an array or one value at a time
     z = np.array([-1000.0, -745.0, -40.0, -1e-300, 0.0, 1e-300, 40.0, 745.0, 1000.0])
-    with np.errstate(over="raise", invalid="raise", divide="raise"):  # underflow is fine
-        sp, sig = softplus_expit(z)
-    assert np.all(np.isfinite(sp)) and np.all(np.isfinite(sig))
-    np.testing.assert_allclose(sp, np.logaddexp(0.0, z), rtol=1e-15)
+    for fam, y, trials, a, N in ((BIL, 3.0, 10.0, 3.0, 10.0), (nbl(2), 5.0, None, 2.0, 7.0)):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):  # underflow is fine
+            value, grad = loglik_value_grad(fam, y, z, trials)
+            pairs = [loglik_value_grad(fam, y, zi, trials) for zi in z]
+        assert np.all(np.isfinite(value)) and np.all(np.isfinite(grad)), fam.name
+        np.testing.assert_allclose(value, a * z - N * np.logaddexp(0.0, z), rtol=1e-15)
+        np.testing.assert_allclose(grad, a - N * expit(z), rtol=1e-15)
+        assert all(type(v) is float and type(g) is float for v, g in pairs)
+        np.testing.assert_array_equal(value, [v for v, _ in pairs])
+        np.testing.assert_array_equal(grad, [g for _, g in pairs])
     # scipy flushes expit(-745) to 0 where exp(-745) is the denormal 4.9e-324,
     # so below the smallest normal double only the absolute gap is checked
+    sig = logistic(z, np.exp(-np.abs(z)))
     np.testing.assert_allclose(sig, expit(z), rtol=1e-15, atol=np.finfo(float).tiny)
     assert sig[1] > 0.0 and sig[0] == 0.0 and sig[-1] == 1.0
-    np.testing.assert_array_equal(sp, softplus(z))
 

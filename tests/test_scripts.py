@@ -42,8 +42,12 @@ def test_draws_digest_prints_one_repeatable_line(capsys):
     argv = ["--seed", "3", "--workload", "nbl-n500-p100-predict-k2", "--dataset", "0"]
     digest = _load("draws_digest")
     assert digest.main(argv) == 0
-    first = capsys.readouterr().out.split()
+    captured = capsys.readouterr()
+    first = captured.out.split()
     assert first[:2] == ["nbl-n500-p100-predict-k2", "0"] and len(first[2]) == 64
+    # the machine is named on stderr, so stdout stays one line per fit
+    assert captured.err.startswith(f"machine: numpy {np.__version__}, BLAS ")
+    assert "SIMD" in captured.err and captured.err.count("\n") == 1
     assert digest.main(argv) == 0
     assert capsys.readouterr().out.split() == first
 
